@@ -9,10 +9,11 @@ region, its output is checked by code that does not use vsrobust; an
 operation that raises or fails a check counts as failed.
 
 With ``--trace 0`` the last line of standard output is a JSON object with
-the end-to-end metrics.  With ``--trace 1`` every operation runs twice, once
-as shipped and once with the layer hooks of layers.py installed, in
-alternating order; the line then holds the per-layer metrics and the spans
-go to ``.vsrbench/trace-<workload>.jsonl``.
+the end-to-end metrics; its times are scaled to a reference machine speed,
+measured next to every operation (speed.py).  With ``--trace 1`` every
+operation runs twice, once as shipped and once with the layer hooks of
+layers.py installed, in alternating order; the line then holds the
+per-layer metrics and the spans go to ``.vsrbench/trace-<workload>.jsonl``.
 """
 
 import time
@@ -30,11 +31,12 @@ import sys
 import traceback
 from pathlib import Path
 
+import speed
 from indep import CheckError
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("layered-milp", "twopath-eval", "layered-enum", "general-cuts")
-SETUP_CHILDREN = 2  # extra set-ups in fresh processes; setup_s is the median
+SETUP_CHILDREN = 4  # extra set-ups in fresh processes; setup_s is the median
 DEADLINE_S = 175    # a hung operation ends the run without a result
 
 
@@ -56,21 +58,25 @@ def _run(op, tracer):
     return seconds, None
 
 
-def _setup_in_child(args) -> float:
-    """Set-up time of a fresh process: imports, generation and warm-up."""
+def _setup_in_child(args) -> dict:
+    """Set-up time of a fresh process (imports, generation and warm-up) and
+    the machine's speed factor just after it."""
     child = subprocess.run(
         [sys.executable, __file__, "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", "0", "--setup-only"],
         capture_output=True, text=True, check=True, timeout=DEADLINE_S)
-    return json.loads(child.stdout.splitlines()[-1])["setup_s"]
+    return json.loads(child.stdout.splitlines()[-1])
 
 
 def measure(workload, seed, seconds, tracer):
     """Run whole rounds until the timed total reaches ``seconds``.  With a
     tracer each operation also runs traced, first or second in turn, so
-    that drift in machine speed hits both kinds alike."""
+    that drift in machine speed hits both kinds alike.  The speed loop is
+    timed before every operation and once after the last."""
     rounds = workload.rounds(seed)
     times = {False: [], True: []}
+    speed.loop_s()  # warm-up
+    loops = []  # loops[i] is timed just before operation i
     attempted = failed = check_failures = 0
     while sum(times[False]) + sum(times[True]) < seconds:
         for op in next(rounds):
@@ -79,6 +85,7 @@ def measure(workload, seed, seconds, tracer):
                 tracer.op = attempted
                 modes = [attempted % 2 == 1, attempted % 2 == 0]
             failures = []
+            loops.append(speed.loop_s())
             for traced in modes:
                 elapsed, failure = _run(op, tracer if traced else None)
                 times[traced].append(elapsed)
@@ -89,7 +96,8 @@ def measure(workload, seed, seconds, tracer):
                 check_failures += any(f.startswith("check failed")
                                       for f in failures)
                 print(f"FAILED {op.label}: {failures[0]}", file=sys.stderr)
-    return times[False], times[True], attempted, failed, check_failures
+    loops.append(speed.loop_s())
+    return times[False], times[True], loops, attempted, failed, check_failures
 
 
 def main(argv=None) -> int:
@@ -119,15 +127,16 @@ def main(argv=None) -> int:
     else:
         workload = workloads.build(args.workload, args.seed)
     workload.warm_up()
-    setup_s = time.perf_counter() - _START
+    setup = {"setup_s": time.perf_counter() - _START,
+             "factor": speed.factor_now()}
     if args.setup_only:
-        print(json.dumps({"setup_s": setup_s}))
+        print(json.dumps(setup))
         return 0
+    setups = [setup]
     if not tracer:
-        setup_s = statistics.median(
-            [setup_s] + [_setup_in_child(args) for _ in range(SETUP_CHILDREN)])
+        setups += [_setup_in_child(args) for _ in range(SETUP_CHILDREN)]
 
-    times, traced_times, attempted, failed, check_failures = measure(
+    times, traced_times, loops, attempted, failed, check_failures = measure(
         workload, args.seed, args.seconds, tracer)
     done = attempted - failed
     if tracer:
@@ -143,12 +152,19 @@ def main(argv=None) -> int:
         tracer.write(out_dir / f"trace-{args.workload}.jsonl")
     else:
         peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        scaled = [t * f for t, f in zip(times, speed.factors(loops))]
         metrics = {
-            "setup_s": {"value": setup_s, "unit": "s"},
-            "ops_per_s": {"value": done / sum(times), "unit": "1/s"},
-            "op_p50_s": {"value": statistics.median(times), "unit": "s"},
+            "setup_s": {"value": statistics.median(
+                s["setup_s"] * s["factor"] for s in setups), "unit": "s"},
+            "ops_per_s": {"value": done / sum(scaled), "unit": "1/s"},
+            "op_p50_s": {"value": statistics.median(scaled), "unit": "s"},
             "peak_rss_mb": {"value": peak_kb / 1024.0, "unit": "MB"},
         }
+        print(f"{args.workload} unscaled: setup_s = "
+              f"{statistics.median(s['setup_s'] for s in setups):.6g} s, "
+              f"ops_per_s = {done / sum(times):.6g} 1/s, op_p50_s = "
+              f"{statistics.median(times):.6g} s; speed loop median "
+              f"{1e3 * statistics.median(loops):.4g} ms", file=sys.stderr)
     for name, metric in metrics.items():
         print(f"{args.workload} {name} = {metric['value']:.6g} {metric['unit']}",
               file=sys.stderr)
