@@ -32,7 +32,8 @@ from .exceptions import (BackendError, CapacityError, DomainError,
                          InfeasibleError, StallError, UsageError)
 from .model import EPS_LAMBDA, WeightFunction, solution_key
 from .problems import (GraphInstance, Instance, SHORTEST_PATH, SPANNING_TREE,
-                       SelectionInstance, enumerate_solutions, solve_nominal)
+                       SelectionInstance, enumerate_solutions,
+                       shortest_distances, solve_nominal)
 from .regret import compute_val, regret_at
 
 GENERAL = "general"
@@ -364,18 +365,7 @@ class HighsBackend(SolverBackend):
         self.presolve = presolve
 
     def solve(self, model: MilpModel) -> BackendResult:
-        work = model
-        for _ in range(10000):
-            res = self._solve_once(work)
-            if res.status != "optimal" or not work.meta.get("lazy_cycles"):
-                return res
-            cycle = _find_cycle(work.meta["instance"],
-                                res.assignment[: work.meta["num_x"]])
-            if cycle is None:
-                return res
-            work = _with_extra_row(work, {int(e): 1.0 for e in cycle}, "<=",
-                                   float(len(cycle) - 1))
-        raise BackendError("cycle elimination did not converge")
+        return _solve_with_cycle_rows(model, self._solve_once)
 
     def _solve_once(self, model: MilpModel) -> BackendResult:
         a, lb, ub = model.constraint_matrix()
@@ -481,7 +471,7 @@ class EnumerationBackend(SolverBackend):
         for j, seg in enumerate(segments):
             lam = seg.point
             costs = nominal * (1.0 - lam + 2.0 * lam * xf)
-            dist = _all_distances(graph, costs)
+            dist = shortest_distances(graph, costs, graph.s)
             u = np.where(np.isfinite(dist), dist, bound)
             values[model.meta["num_x"] + j * V:
                    model.meta["num_x"] + (j + 1) * V] = u
@@ -520,8 +510,8 @@ def _batched_distances(graph: GraphInstance, costs: np.ndarray) -> np.ndarray:
     Jacobi Bellman-Ford relaxation to its fixpoint (at most V - 1 rounds),
     so arc order, cycles and parallel arcs need no special care; nodes that
     s cannot reach stay at inf.  With non-negative costs each column equals,
-    bit for bit, what the Dijkstra of ``_all_distances`` returns for it: both
-    give the least left-to-right float sum over the paths from s.
+    bit for bit, what ``shortest_distances`` returns for it: both give the
+    least left-to-right float sum over the paths from s.
     """
     order = np.argsort(graph.heads, kind="stable")
     heads, starts = np.unique(graph.heads[order], return_index=True)
@@ -538,12 +528,21 @@ def _batched_distances(graph: GraphInstance, costs: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _all_distances(graph: GraphInstance, costs: np.ndarray) -> np.ndarray:
-    from . import _kernels
-    indptr, csr_heads, csr_arcs = graph.csr()
-    dist, _, _ = _kernels.dijkstra(graph.num_nodes, indptr, csr_heads,
-                                   csr_arcs, costs, graph.s)
-    return dist
+def _solve_with_cycle_rows(model: MilpModel, solve_once) -> BackendResult:
+    """Solve, then while the optimum's support holds a cycle of a
+    spanning-tree master, add that cycle's elimination row and re-solve."""
+    work = model
+    for _ in range(10000):
+        res = solve_once(work)
+        if res.status != "optimal" or not work.meta.get("lazy_cycles"):
+            return res
+        cycle = _find_cycle(work.meta["instance"],
+                            res.assignment[: work.meta["num_x"]])
+        if cycle is None:
+            return res
+        work = _with_extra_row(work, {int(e): 1.0 for e in cycle}, "<=",
+                               float(len(cycle) - 1))
+    raise BackendError("cycle elimination did not converge")
 
 
 def _find_cycle(graph: GraphInstance, x_values: np.ndarray):
@@ -704,18 +703,8 @@ class ExternalBackend(SolverBackend):
         self.command = command
 
     def solve(self, model: MilpModel) -> BackendResult:
-        work = model
-        for _ in range(10000):
-            res = backend_emit_and_invoke(work, self.command)
-            if res.status != "optimal" or not work.meta.get("lazy_cycles"):
-                return res
-            cycle = _find_cycle(work.meta["instance"],
-                                res.assignment[: work.meta["num_x"]])
-            if cycle is None:
-                return res
-            work = _with_extra_row(work, {int(e): 1.0 for e in cycle}, "<=",
-                                   float(len(cycle) - 1))
-        raise BackendError("cycle elimination did not converge")
+        return _solve_with_cycle_rows(
+            model, lambda work: backend_emit_and_invoke(work, self.command))
 
 
 def backend_emit_and_invoke(model: MilpModel,
@@ -796,7 +785,7 @@ def definitional_objective(model: MilpModel, x: np.ndarray) -> float:
     for seg in segments:
         lam = seg.point
         costs = nominal * (1.0 - lam + 2.0 * lam * xf)
-        dist = _all_distances(instance, costs)
+        dist = shortest_distances(instance, costs, instance.s)
         total += seg.weight * ((1.0 + lam) * float(nominal @ xf)
                                - float(dist[instance.t]))
     return total

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
-from . import _kernels
 from .exceptions import CapacityError, InfeasibleError, UsageError
 from .model import as_costs, as_solution
 
@@ -54,6 +55,8 @@ class GraphInstance:
     s: Optional[int] = None
     t: Optional[int] = None
     _csr: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _grouped: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         self.tails = np.asarray(self.tails, dtype=np.int64)
@@ -91,6 +94,25 @@ class GraphInstance:
             self._csr = (indptr, self.heads[order], order.astype(np.int64))
         return self._csr
 
+    def _arc_groups(self, reverse: bool = False):
+        """Arcs grouped by (tail, head), or by (head, tail) when reversed,
+        cached: (order, starts, indptr, indices).  ``order`` sorts the arcs
+        by that pair, then by index; group k begins at ``order[starts[k]]``
+        and is the k-th stored entry of a CSR matrix with row pointers
+        ``indptr`` and column indices ``indices``."""
+        if reverse not in self._grouped:
+            rows, cols = ((self.heads, self.tails) if reverse
+                          else (self.tails, self.heads))
+            order = np.lexsort((np.arange(self.num_arcs), cols, rows))
+            pair = rows[order] * self.num_nodes + cols[order]
+            starts = np.flatnonzero(np.diff(pair, prepend=-1))
+            counts = np.bincount(rows[order][starts], minlength=self.num_nodes)
+            indptr = np.zeros(self.num_nodes + 1, dtype=np.int32)
+            np.cumsum(counts, out=indptr[1:])
+            indices = cols[order][starts].astype(np.int32)
+            self._grouped[reverse] = (order, starts, indptr, indices)
+        return self._grouped[reverse]
+
 
 Instance = SelectionInstance | GraphInstance
 
@@ -99,8 +121,10 @@ def solve_nominal(instance: Instance, costs: np.ndarray) -> tuple[np.ndarray, fl
     """Minimize costs over the feasible set; returns (solution, value).
 
     Tie-breaking is deterministic: selection and spanning tree use a stable
-    (cost, index) sort; shortest path prefers the lexicographically smallest
-    (predecessor node, arc) at equal distance.
+    (cost, index) sort; shortest path walks back from t along, for every
+    node, the tight in-arc with the smallest (tail, index), and only if that
+    walk revisits a node, along the smallest one whose tail has fewer tight
+    hops from s.
     """
     costs = np.asarray(costs, dtype=np.float64)
     if costs.shape[0] != instance.ground_size:
@@ -117,27 +141,112 @@ def solve_nominal(instance: Instance, costs: np.ndarray) -> tuple[np.ndarray, fl
     return _solve_tree(instance, costs)
 
 
-def _solve_path(g: GraphInstance, costs: np.ndarray) -> tuple[np.ndarray, float]:
-    indptr, csr_heads, csr_arcs = g.csr()
-    dist, pred_node, pred_arc = _kernels.dijkstra(
-        g.num_nodes, indptr, csr_heads, csr_arcs, costs, g.s)
-    if not np.isfinite(dist[g.t]):
-        raise InfeasibleError(f"no path from {g.s} to {g.t}")
+def shortest_distances(g: GraphInstance, costs: np.ndarray, root: int,
+                       reverse: bool = False) -> np.ndarray:
+    """Shortest-path distances from ``root`` (to ``root`` when ``reverse``)
+    under non-negative arc costs; inf where there is no path.
+
+    Parallel arcs collapse to the cheapest one, and the matrix is built from
+    its CSR arrays, so zero costs stay edges.
+    """
+    order, starts, indptr, indices = g._arc_groups(reverse)
+    data = np.minimum.reduceat(costs[order], starts)
+    matrix = sp.csr_matrix((data, indices, indptr),
+                           shape=(g.num_nodes, g.num_nodes))
+    return dijkstra(matrix, indices=root)
+
+
+def _predecessor_arcs(g: GraphInstance, costs: np.ndarray, dist: np.ndarray,
+                      acyclic: bool = False) -> np.ndarray:
+    """For every node but s, the arc with the smallest (tail, index) among
+    its tight in-arcs (``dist[tail] + cost == dist[head]``), or -1.  With
+    ``acyclic``, only tails fewer tight-arc hops from s than the head
+    qualify, so that hops fall strictly along every predecessor walk."""
+    order = g._arc_groups(reverse=True)[0]  # by (head, tail, index)
+    tails, heads = g.tails[order], g.heads[order]
+    tail_dist = dist[tails]
+    tight = np.isfinite(tail_dist) & (tail_dist + costs[order] == dist[heads])
+    if acyclic:
+        hops = _hops(g.num_nodes, g.s, tails[tight], heads[tight])
+        tight &= hops[tails] < hops[heads]
+    arcs, heads = order[tight], heads[tight]
+    first = np.flatnonzero(np.diff(heads, prepend=-1))
+    pred = np.full(g.num_nodes, -1, dtype=np.int64)
+    pred[heads[first]] = arcs[first]
+    pred[g.s] = -1
+    return pred
+
+
+def _hops(num_nodes: int, s: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Fewest arcs on a path from s to each node (inf if none), by BFS."""
+    hops = np.full(num_nodes, np.inf)
+    hops[s] = 0.0
+    level = 0.0
+    while True:
+        reached = heads[(hops[tails] == level) & np.isinf(hops[heads])]
+        if reached.size == 0:
+            return hops
+        level += 1.0
+        hops[reached] = level
+
+
+def _walk_back(g: GraphInstance, pred: np.ndarray) -> Optional[np.ndarray]:
+    """Arcs of the predecessor walk from t to s; None if it revisits a node."""
     x = np.zeros(g.num_arcs, dtype=np.int8)
     v = g.t
     while v != g.s:
-        x[pred_arc[v]] = 1
-        v = pred_node[v]
+        a = pred[v]
+        if x[a]:
+            return None
+        x[a] = 1
+        v = g.tails[a]
+    return x
+
+
+def _solve_path(g: GraphInstance, costs: np.ndarray) -> tuple[np.ndarray, float]:
+    dist = shortest_distances(g, costs, g.s)
+    if not np.isfinite(dist[g.t]):
+        raise InfeasibleError(f"no path from {g.s} to {g.t}")
+    x = _walk_back(g, _predecessor_arcs(g, costs, dist))
+    if x is None:  # zero-cost cycles made the tie rule cyclic
+        x = _walk_back(g, _predecessor_arcs(g, costs, dist, acyclic=True))
     return x, float(dist[g.t])
 
 
 def _solve_tree(g: GraphInstance, costs: np.ndarray) -> tuple[np.ndarray, float]:
     order = np.argsort(costs, kind="stable")
-    selected, count = _kernels.kruskal_select(g.num_nodes, g.tails, g.heads, order)
+    selected, count = _kruskal_select(g.num_nodes, g.tails, g.heads, order)
     if count != g.num_nodes - 1:
         raise InfeasibleError("graph is not connected")
     x = selected.astype(np.int8)
     return x, float(costs[selected].sum())
+
+
+def _kruskal_select(n, tails, heads, order):
+    """Union-find edge selection in the given cost order.
+
+    Returns (selected mask over arcs, number selected).  ``order`` is the
+    stable (cost, index) sort of the arcs.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    selected = np.zeros(tails.shape[0], dtype=np.bool_)
+    count = 0
+    for idx in order:
+        a = tails[idx]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        b = heads[idx]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            selected[idx] = True
+            count += 1
+            if count == n - 1:
+                break
+    return selected, count
 
 
 def is_feasible(instance: Instance, x: np.ndarray) -> bool:

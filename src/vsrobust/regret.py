@@ -19,9 +19,10 @@ import numpy as np
 
 from .exceptions import CapacityError, DomainError, InfeasibleError
 from .model import (EPS_LAMBDA, AffinePiece, LambdaInterval, RegretProfile,
-                    WeightFunction, as_solution, effective_cost,
+                    WeightFunction, _isect, as_solution, effective_cost,
                     solution_key, upper_envelope, weight_moments)
-from .problems import GraphInstance, Instance, SHORTEST_PATH, is_feasible, solve_nominal
+from .problems import (GraphInstance, Instance, SHORTEST_PATH, is_feasible,
+                       shortest_distances, solve_nominal)
 
 DEFAULT_CHANGEPOINT_CAP = 10**6
 
@@ -110,7 +111,7 @@ def compute_val(instance: Instance, x: np.ndarray, w: WeightFunction,
         # intersect every new piece with every older one
         for i in range(paired, len(piece_list)):
             for j in range(i):
-                lam = _intersection(piece_list[i], piece_list[j])
+                lam = _isect(piece_list[i], piece_list[j])
                 if lam is None or not (dom.lo < lam < dom.hi):
                     continue
                 if _insert_new(candidates, lam):
@@ -127,13 +128,6 @@ def compute_val(instance: Instance, x: np.ndarray, w: WeightFunction,
     return EvaluationResult(val=val, profile=profile,
                             changepoints=profile.interior_breakpoints,
                             witnesses=witnesses)
-
-
-def _intersection(p: AffinePiece, q: AffinePiece):
-    ds = q.slope - p.slope
-    if abs(ds) <= EPS_LAMBDA:
-        return None  # parallel pieces never generate a candidate
-    return (p.intercept - q.intercept) / ds
 
 
 def _insert_new(sorted_vals: list[float], lam: float) -> bool:
@@ -259,8 +253,8 @@ def _lexmin_point(graph: GraphInstance, primary: np.ndarray,
     some primary-optimal path) and minimizes the secondary cost there.
     """
     _, v1 = solve_nominal(graph, primary)
-    dist_s = _distances_from(graph, primary, graph.s, reverse=False)
-    dist_t = _distances_from(graph, primary, graph.t, reverse=True)
+    dist_s = shortest_distances(graph, primary, graph.s)
+    dist_t = shortest_distances(graph, primary, graph.t, reverse=True)
     tol = 1e-9 * (1.0 + abs(v1))
     tight = np.flatnonzero(
         dist_s[graph.tails] + primary + dist_t[graph.heads] <= v1 + tol)
@@ -272,16 +266,3 @@ def _lexmin_point(graph: GraphInstance, primary: np.ndarray,
     y = np.zeros(graph.num_arcs, dtype=np.int8)
     y[tight[np.flatnonzero(y_sub)]] = 1
     return float(primary @ y), float(secondary @ y)
-
-
-def _distances_from(graph: GraphInstance, costs: np.ndarray, root: int,
-                    reverse: bool) -> np.ndarray:
-    tails, heads = (graph.heads, graph.tails) if reverse else (graph.tails, graph.heads)
-    g = GraphInstance(num_nodes=graph.num_nodes, tails=tails, heads=heads,
-                      nominal=np.zeros(graph.num_arcs), kind=SHORTEST_PATH,
-                      s=root, t=(root + 1) % graph.num_nodes)
-    from . import _kernels
-    indptr, csr_heads, csr_arcs = g.csr()
-    dist, _, _ = _kernels.dijkstra(g.num_nodes, indptr, csr_heads, csr_arcs,
-                                   np.asarray(costs, dtype=np.float64), root)
-    return dist

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths it checks: regret values
 come from exhaustive enumeration of the feasible set plus dense-grid maxima
-(never from the envelope sweep or the analytic integrator), and weight
-moments come from Simpson quadrature.
+(never from the envelope sweep or the analytic integrator), weight moments
+come from Simpson quadrature, and shortest paths from a dense pure-Python
+label-setting Dijkstra.
 """
 
 from __future__ import annotations
@@ -16,6 +17,48 @@ from vsrobust.problems import (GraphInstance, SHORTEST_PATH, SPANNING_TREE,
                                SelectionInstance)
 
 RIEMANN_POINTS = 100_000
+
+
+def dijkstra_py(n, indptr, csr_heads, csr_arcs, costs, source):
+    """Dense label-setting shortest paths from ``source`` in O(V^2 + E).
+
+    ``indptr``/``csr_heads``/``csr_arcs`` describe the out-arcs of each node
+    in CSR layout (``csr_arcs`` holds original arc indices into ``costs``).
+    Returns (dist, pred_node, pred_arc).  Relaxation never checks whether
+    the head is finalized, so each node's predecessor ends as the smallest
+    (node, arc) pair among its tight in-arcs; with zero-cost cycles these
+    predecessors can form a cycle.
+    """
+    dist = np.full(n, np.inf)
+    pred_node = np.full(n, -1, dtype=np.int64)
+    pred_arc = np.full(n, -1, dtype=np.int64)
+    visited = np.zeros(n, dtype=np.bool_)
+    dist[source] = 0.0
+    for _ in range(n):
+        u = -1
+        best = np.inf
+        for v in range(n):
+            if not visited[v] and dist[v] < best:
+                best = dist[v]
+                u = v
+        if u < 0:
+            break
+        visited[u] = True
+        for k in range(indptr[u], indptr[u + 1]):
+            v = csr_heads[k]
+            a = csr_arcs[k]
+            nd = dist[u] + costs[a]
+            if nd < dist[v]:
+                dist[v] = nd
+                pred_node[v] = u
+                pred_arc[v] = a
+            elif nd == dist[v] and (
+                u < pred_node[v]
+                or (u == pred_node[v] and a < pred_arc[v])
+            ):
+                pred_node[v] = u
+                pred_arc[v] = a
+    return dist, pred_node, pred_arc
 
 
 def regret_lines(instance, x, solutions=None):
@@ -158,6 +201,38 @@ def random_sp_graph(rng: SplitMix64, max_paths=30):
         g = GraphInstance(num_nodes=t + 1, tails=np.array(tails),
                           heads=np.array(heads), nominal=costs,
                           kind=SHORTEST_PATH, s=0, t=t)
+        try:
+            sols = enumerate_solutions(g, limit=max_paths)
+        except Exception:
+            continue
+        if sols:
+            return g
+
+
+def random_digraph(rng: SplitMix64, max_nodes=7, max_paths=None):
+    """Small random digraph: cycles (self-loops included), parallel arcs,
+    costs in 0..4 (zeros and ties are common), s and t anywhere, and nodes
+    that s cannot reach.  With ``max_paths``, redraws until the instance has
+    between 1 and ``max_paths`` simple s-t paths."""
+    while True:
+        n = rng.randint(3, max_nodes)
+        s = rng.randint(0, n - 1)
+        t = (s + rng.randint(1, n - 1)) % n
+        tails, heads = [], []
+        for _ in range(rng.randint(0, 3 * n)):
+            if tails and rng.unit() < 0.2:  # parallel copy of an earlier arc
+                k = rng.randint(0, len(tails) - 1)
+                tails.append(tails[k])
+                heads.append(heads[k])
+            else:
+                tails.append(rng.randint(0, n - 1))
+                heads.append(rng.randint(0, n - 1))
+        costs = np.array([rng.randint(0, 4) for _ in tails], dtype=np.float64)
+        g = GraphInstance(num_nodes=n, tails=np.array(tails, dtype=np.int64),
+                          heads=np.array(heads, dtype=np.int64),
+                          nominal=costs, kind=SHORTEST_PATH, s=s, t=t)
+        if max_paths is None:
+            return g
         try:
             sols = enumerate_solutions(g, limit=max_paths)
         except Exception:

@@ -4,10 +4,11 @@ import pytest
 from vsrobust import (CapacityError, GraphInstance, InfeasibleError,
                       SHORTEST_PATH, SPANNING_TREE, SelectionInstance,
                       enumerate_solutions, is_feasible, solve_nominal)
-from vsrobust import _kernels
 from vsrobust.instances import SplitMix64
+from vsrobust.problems import _predecessor_arcs, shortest_distances
 
-from oracles import random_mst_graph, random_sp_graph
+from oracles import (dijkstra_py, random_digraph, random_mst_graph,
+                     random_sp_graph)
 
 
 class TestSolveNominal:
@@ -137,32 +138,57 @@ class TestEnumerate:
         assert a == b
 
 
-class TestKernelParity:
-    """The numba kernels and the pure-Python fallbacks must agree bit for
-    bit, including tie-breaking."""
+def _reference_walk(g, pred_node, pred_arc):
+    """Arcs of the reference predecessor walk from t, or None if it cycles."""
+    x = np.zeros(g.num_arcs, dtype=np.int8)
+    v = g.t
+    for _ in range(g.num_nodes):
+        if v == g.s:
+            return x
+        x[pred_arc[v]] = 1
+        v = pred_node[v]
+    return None
 
-    def test_dijkstra_matches_fallback(self):
+
+def _reversed(g):
+    return GraphInstance(num_nodes=g.num_nodes, tails=g.heads, heads=g.tails,
+                         nominal=g.nominal, kind=SHORTEST_PATH, s=g.t, t=g.s)
+
+
+class TestOracleParity:
+    """The csgraph oracle against the dense pure-Python Dijkstra of the
+    test oracles: distances bit for bit (from s and, reversed, to t), tight
+    predecessors, and the returned path wherever the reference's walk from
+    t ends."""
+
+    @pytest.mark.parametrize("factory", [random_sp_graph, random_digraph])
+    def test_dijkstra_matches_reference(self, factory):
         rng = SplitMix64(123)
-        for _ in range(20):
-            g = random_sp_graph(rng)
-            costs = np.array([float(rng.randint(0, 20)) for _ in range(g.num_arcs)])
-            indptr, heads, arcs = g.csr()
-            jit_out = _kernels.dijkstra(g.num_nodes, indptr, heads, arcs,
-                                        costs, g.s)
-            py_out = _kernels.dijkstra_py(g.num_nodes, indptr, heads, arcs,
-                                          costs, g.s)
-            for a, b in zip(jit_out, py_out):
-                assert np.array_equal(a, b)
-
-    def test_kruskal_matches_fallback(self):
-        rng = SplitMix64(321)
-        for _ in range(20):
-            g = random_mst_graph(rng)
-            costs = np.array([float(rng.randint(1, 9)) for _ in range(g.num_arcs)])
-            order = np.argsort(costs, kind="stable")
-            sel_jit, n_jit = _kernels.kruskal_select(g.num_nodes, g.tails,
-                                                     g.heads, order)
-            sel_py, n_py = _kernels.kruskal_select_py(g.num_nodes, g.tails,
-                                                      g.heads, order)
-            assert n_jit == n_py
-            assert np.array_equal(sel_jit, sel_py)
+        walked = 0
+        for _ in range(60):
+            g = factory(rng)
+            # few distinct costs, so that ties and zero-cost cycles are common
+            costs = np.array([float(rng.randint(0, 5)) for _ in range(g.num_arcs)])
+            r = _reversed(g)
+            assert np.array_equal(
+                shortest_distances(g, costs, g.t, reverse=True),
+                dijkstra_py(r.num_nodes, *r.csr(), costs, r.s)[0])
+            dist, pred_node, pred_arc = dijkstra_py(
+                g.num_nodes, *g.csr(), costs, g.s)
+            assert np.array_equal(shortest_distances(g, costs, g.s), dist)
+            arcs = _predecessor_arcs(g, costs, dist)
+            assert np.array_equal(arcs, pred_arc)
+            assert [g.tails[a] if a >= 0 else -1 for a in arcs] \
+                == pred_node.tolist()
+            if not np.isfinite(dist[g.t]):
+                with pytest.raises(InfeasibleError):
+                    solve_nominal(g, costs)
+                continue
+            x, val = solve_nominal(g, costs)
+            assert val == dist[g.t]
+            assert is_feasible(g, x)
+            expect = _reference_walk(g, pred_node, pred_arc)
+            if expect is not None:
+                assert np.array_equal(x, expect)
+                walked += 1
+        assert walked >= 20

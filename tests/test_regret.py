@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,14 @@ from vsrobust import (DomainError, GraphInstance, InfeasibleError,
                       SHORTEST_PATH, SelectionInstance, WeightFunction,
                       bicriteria_extreme_count, compute_val,
                       enumerate_solutions, gen_layered, integrate_profile,
-                      mst_changepoint_candidates, regret_at,
+                      is_feasible, mst_changepoint_candidates, regret_at,
                       selection_changepoint_candidates, solve_nominal,
                       upper_envelope, AffinePiece, LambdaInterval)
 from vsrobust.instances import SplitMix64
 
-from oracles import (grid_regret, hull_extreme_count, random_instance,
-                     random_mst_graph, random_selection, random_sp_graph,
-                     random_weight, riemann_val)
+from oracles import (grid_regret, hull_extreme_count, random_digraph,
+                     random_instance, random_mst_graph, random_selection,
+                     random_sp_graph, random_weight, riemann_val)
 
 EDGE0 = np.array([1, 0], dtype=np.int8)
 EDGE1 = np.array([0, 1], dtype=np.int8)
@@ -94,6 +96,54 @@ class TestComputeVal:
             ev = compute_val(inst, x, w)
             oracle = riemann_val(inst, x, w, n_points=20_000, solutions=sols)
             assert ev.val == pytest.approx(oracle, rel=1e-4, abs=1e-6)
+
+    def test_matches_riemann_oracle_on_cyclic_digraphs(self):
+        # cycles, zero and tied costs, parallel arcs, s != 0: inputs the
+        # DAG generators never produce
+        rng = SplitMix64(909)
+        for _ in range(60):
+            g = random_digraph(rng, max_paths=30)
+            sols = enumerate_solutions(g)
+            x = sols[rng.randint(0, len(sols) - 1)]
+            w = WeightFunction.constant(0, 1) if rng.next_u64() % 2 \
+                else random_weight(rng)
+            ev = compute_val(g, x, w)
+            ev.profile.validate()
+            grid = np.linspace(0, 1, 257)
+            np.testing.assert_allclose(ev.profile.value(grid),
+                                       grid_regret(g, x, grid, sols),
+                                       rtol=1e-12, atol=1e-9)
+            oracle = riemann_val(g, x, w, n_points=20_000, solutions=sols)
+            assert ev.val == pytest.approx(oracle, rel=1e-4, abs=1e-6)
+            lam = rng.unit()
+            val, _ = regret_at(g, x, lam)
+            expect = grid_regret(g, x, np.array([lam]), sols)[0]
+            assert val == pytest.approx(expect, rel=1e-12, abs=1e-9)
+
+    def test_zero_cost_cycle_terminates(self):
+        # ties make 1 and 2 each other's smallest tight predecessor at
+        # lam = 1, where every arc outside x costs 0
+        g = GraphInstance(num_nodes=6,
+                          tails=np.array([0, 0, 3, 4, 1, 2, 1, 0]),
+                          heads=np.array([3, 4, 1, 2, 2, 1, 5, 5]),
+                          nominal=np.array([1, 1, 1, 1, 1, 1, 1, 10.0]),
+                          kind=SHORTEST_PATH, s=0, t=5)
+        x = np.array([0, 0, 0, 0, 0, 0, 0, 1], dtype=np.int8)
+
+        def hang(signum, frame):
+            raise TimeoutError("compute_val did not return within 20 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            ev = compute_val(g, x, WeightFunction.constant(0, 1))
+            y, val = solve_nominal(g, np.where(x == 1, 20.0, 0.0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert ev.val == pytest.approx(13.5)  # regret 7 + 13 lam
+        assert val == 0.0
+        assert is_feasible(g, y)
 
     def test_witnesses_define_profile_pieces(self, two_parallel, unit_weight):
         ev = compute_val(two_parallel, EDGE0, unit_weight)
