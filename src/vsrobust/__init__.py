@@ -7,9 +7,8 @@ from .exceptions import (BackendError, CapacityError, DomainError,
                          InfeasibleError, ParseError, StallError, UsageError,
                          VsrError)
 from .model import (EPS_LAMBDA, AffinePiece, LambdaInterval, RegretProfile,
-                    UncertaintyShape, UncertaintySpec, WeightFunction,
-                    as_costs, as_solution, effective_cost, solution_key,
-                    upper_envelope, weight_moments)
+                    WeightFunction, as_costs, as_solution, effective_cost,
+                    solution_key, upper_envelope, weight_moments)
 from .problems import (GraphInstance, SHORTEST_PATH, SPANNING_TREE,
                        SelectionInstance, enumerate_solutions, is_feasible,
                        solve_nominal)

@@ -32,7 +32,7 @@ from .exceptions import (BackendError, CapacityError, DomainError,
                          InfeasibleError, StallError, UsageError)
 from .model import EPS_LAMBDA, WeightFunction, solution_key
 from .problems import (GraphInstance, Instance, SHORTEST_PATH, SPANNING_TREE,
-                       SelectionInstance, enumerate_solutions,
+                       SelectionInstance, _iter_paths, enumerate_solutions,
                        shortest_distances, solve_nominal)
 from .regret import compute_val, regret_at
 
@@ -41,8 +41,8 @@ DUAL_SP = "dual_sp"
 
 DEFAULT_EPSILON = 1e-6
 
-# float elements per (arcs x block) cost matrix in the batched dual
-# enumeration; bounds its working set at any enumeration limit
+# float elements per (max(n, V) x block) matrix in the batched enumeration;
+# bounds its working set at any enumeration limit
 _BLOCK_ELEMENTS = 1 << 20
 
 
@@ -339,8 +339,6 @@ class SolverBackend:
     """Backend contract: solve a MilpModel to proven optimality."""
 
     name = "abstract"
-    supports_binary = True
-    supports_continuous = True
 
     def solve(self, model: MilpModel) -> BackendResult:  # pragma: no cover
         raise NotImplementedError
@@ -350,19 +348,14 @@ class HighsBackend(SolverBackend):
     """MILP solves via scipy's bundled HiGHS; spanning-tree masters get
     cycle-elimination rows lazily.
 
-    Presolve is off by default: the bundled HiGHS has been observed to
-    return a wrong claimed optimum (bad dual bound) on dual-formulation
-    masters with presolve enabled, and the algorithm needs true optima for
-    valid lower bounds.  ``verify_master_objective`` guards every master
-    solve regardless of backend.
+    Presolve is off: the bundled HiGHS has been observed to return a wrong
+    claimed optimum (bad dual bound) on dual-formulation masters with
+    presolve enabled, and the algorithm needs true optima for valid lower
+    bounds.  ``verify_master_objective`` guards every master solve
+    regardless of backend.
     """
 
     name = "highs"
-
-    def __init__(self, time_limit: Optional[float] = None,
-                 presolve: bool = False):
-        self.time_limit = time_limit
-        self.presolve = presolve
 
     def solve(self, model: MilpModel) -> BackendResult:
         return _solve_with_cycle_rows(model, self._solve_once)
@@ -373,11 +366,9 @@ class HighsBackend(SolverBackend):
             [1 if v.kind == "B" else 0 for v in model.variables])
         bounds = Bounds(np.array([v.lb for v in model.variables]),
                         np.array([v.ub for v in model.variables]))
-        options = {"mip_rel_gap": 0.0, "presolve": self.presolve}
-        if self.time_limit is not None:
-            options["time_limit"] = self.time_limit
         res = milp(c=model.obj, constraints=LinearConstraint(a, lb, ub),
-                   integrality=integrality, bounds=bounds, options=options)
+                   integrality=integrality, bounds=bounds,
+                   options={"mip_rel_gap": 0.0, "presolve": False})
         if res.status == 2:
             return BackendResult("infeasible", None, None, res.message)
         if not res.success:
@@ -391,11 +382,11 @@ class HighsBackend(SolverBackend):
 
 class EnumerationBackend(SolverBackend):
     """Exact master solves by exhausting the feasible set of the attached
-    instance; the continuous variables are resolved in closed form (cut
-    maxima for the general style, shortest-path distances for the dual).
-    Both closed forms are evaluated in batch over all enumerated solutions;
-    the dual one relaxes every solution's distances at once, block by block.
-    Ties go to the first solution in enumeration order."""
+    instance.  The closed-form objective of :func:`_master_objectives` is
+    evaluated over all enumerated solutions, block by block; ties go to the
+    first solution in enumeration order.  Only models built by
+    ``build_formulation_general`` or ``build_formulation_dual_sp`` carry
+    the instance this needs."""
 
     name = "enum"
 
@@ -403,104 +394,87 @@ class EnumerationBackend(SolverBackend):
         self.limit = limit
 
     def solve(self, model: MilpModel) -> BackendResult:
-        style = model.meta.get("style")
-        if style == GENERAL:
-            return self._solve_general(model)
-        if style == DUAL_SP:
-            return self._solve_dual_sp(model)
-        return self._solve_raw(model)
-
-    def _solve_general(self, model: MilpModel) -> BackendResult:
+        if model.meta.get("style") not in (GENERAL, DUAL_SP):
+            raise UsageError("enumeration needs a master model built by "
+                             "build_formulation_general or "
+                             "build_formulation_dual_sp")
         instance = model.meta["instance"]
-        segments = model.meta["segments"]
-        pool = model.meta["pool"]
-        nominal = instance.nominal
+        num_x = model.meta["num_x"]
         sols = enumerate_solutions(instance, limit=self.limit)
-        P = np.array(sols, dtype=np.float64)
-        Y = np.array(pool, dtype=np.float64)
-        pc = P @ nominal
-        cy = Y @ nominal
-        pcy = P @ (Y * nominal).T  # (S, L): cost mass shared with each cut
-        objs = np.zeros(P.shape[0])
-        zs = np.zeros((P.shape[0], len(segments)))
-        for j, seg in enumerate(segments):
-            lam = seg.point
-            cuts = ((1.0 + lam) * pc[:, None]
-                    - (1.0 - lam) * cy[None, :]
-                    - 2.0 * lam * pcy)
-            zj = np.maximum(cuts.max(axis=1), 0.0)
-            zs[:, j] = zj
-            objs += seg.weight * zj
-        best_idx = int(np.argmin(objs))
-        best_obj = float(objs[best_idx])
-        best_z = zs[best_idx]
-        values = np.zeros(model.num_vars)
-        values[: model.meta["num_x"]] = sols[best_idx]
-        values[model.meta["num_x"]:] = best_z
-        return BackendResult("optimal", values, best_obj)
-
-    def _solve_dual_sp(self, model: MilpModel) -> BackendResult:
-        graph = model.meta["instance"]
-        segments = model.meta["segments"]
-        nominal = graph.nominal
-        sols = enumerate_solutions(graph, limit=self.limit)
         if not sols:
             return BackendResult("infeasible", None, None)
-        rows = max(1, _BLOCK_ELEMENTS // max(graph.num_arcs, graph.num_nodes))
+        rows = max(1, _BLOCK_ELEMENTS
+                   // max(num_x, getattr(instance, "num_nodes", 0)))
         objs = np.empty(len(sols))
         for lo in range(0, len(sols), rows):
-            P = np.array(sols[lo:lo + rows], dtype=np.float64)
-            # the same dot product as definitional_objective, row by row
-            pc = np.array([float(nominal @ xf) for xf in P])
-            Pt = np.ascontiguousarray(P.T)
-            acc = np.zeros(P.shape[0])
-            for seg in segments:
-                lam = seg.point
-                costs = nominal[:, None] * (1.0 - lam + 2.0 * lam * Pt)
-                dist = _batched_distances(graph, costs)
-                acc += seg.weight * ((1.0 + lam) * pc - dist[graph.t])
-            objs[lo:lo + rows] = acc
-        best_idx = int(np.argmin(objs))  # first minimum, as enumerated
-        x = sols[best_idx]
+            X = np.array(sols[lo:lo + rows], dtype=np.float64)
+            objs[lo:lo + rows] = _master_objectives(model, X)
+        best = int(np.argmin(objs))  # first minimum, as enumerated
         values = np.zeros(model.num_vars)
-        values[: model.meta["num_x"]] = x
-        # node potentials: distances from s, the box bound where unreachable
-        V = graph.num_nodes
-        bound = _potential_bound(graph)
-        xf = x.astype(np.float64)
-        for j, seg in enumerate(segments):
-            lam = seg.point
-            costs = nominal * (1.0 - lam + 2.0 * lam * xf)
-            dist = shortest_distances(graph, costs, graph.s)
-            u = np.where(np.isfinite(dist), dist, bound)
-            values[model.meta["num_x"] + j * V:
-                   model.meta["num_x"] + (j + 1) * V] = u
-        return BackendResult("optimal", values, float(objs[best_idx]))
+        values[:num_x] = sols[best]
+        values[num_x:] = _continuous_part(model, sols[best])
+        return BackendResult("optimal", values, float(objs[best]))
 
-    def _solve_raw(self, model: MilpModel) -> BackendResult:
-        binaries = [j for j, v in enumerate(model.variables) if v.kind == "B"]
-        if len(binaries) != model.num_vars:
-            raise UsageError(
-                "raw enumeration supports pure-binary models only; attach "
-                "instance metadata for mixed models")
-        if len(binaries) > 25:
-            raise CapacityError("too many binary variables to enumerate")
-        a, lb, ub = model.constraint_matrix()
-        best = None
-        best_obj = np.inf
-        for mask in range(1 << len(binaries)):
-            values = np.array([(mask >> i) & 1 for i in range(len(binaries))],
-                              dtype=np.float64)
-            act = a @ values
-            if np.any(act < lb - 1e-9) or np.any(act > ub + 1e-9):
-                continue
-            obj = float(model.obj @ values)
-            if obj < best_obj:
-                best_obj = obj
-                best = values
-        if best is None:
-            return BackendResult("infeasible", None, None)
-        return BackendResult("optimal", best, best_obj)
+
+def _master_objectives(model: MilpModel, X: np.ndarray) -> np.ndarray:
+    """Master objective at each row of the 0/1 matrix X, with the
+    continuous part at its optimum in closed form: per segment, the largest
+    cut (general style) or (1 + lam) c x minus the shortest s-t distance
+    under the worst-case costs of x (dual style)."""
+    instance = model.meta["instance"]
+    segments = model.meta["segments"]
+    nominal = instance.nominal
+    if model.meta["style"] == GENERAL:
+        terms = _cut_maxima(model, X).T
+    else:
+        pc = np.array([float(nominal @ x) for x in X])
+        Xt = np.ascontiguousarray(X.T)
+        terms = []
+        for seg in segments:
+            lam = seg.point
+            dist = _batched_distances(
+                instance, nominal[:, None] * (1.0 - lam + 2.0 * lam * Xt))
+            terms.append((1.0 + lam) * pc - dist[instance.t])
+    objs = np.zeros(X.shape[0])
+    for seg, term in zip(segments, terms):
+        objs += seg.weight * term
+    return objs
+
+
+def _cut_maxima(model: MilpModel, X: np.ndarray) -> np.ndarray:
+    """(rows of X, segments): the least feasible z_j of the general master,
+    max(0, largest cut of segment j), at each row of X."""
+    nominal = model.meta["instance"].nominal
+    Y = np.array(model.meta["pool"], dtype=np.float64)
+    pc = X @ nominal
+    cy = Y @ nominal
+    pcy = X @ (Y * nominal).T  # (rows, cuts): cost mass shared with each cut
+    z = np.empty((X.shape[0], len(model.meta["segments"])))
+    for j, seg in enumerate(model.meta["segments"]):
+        lam = seg.point
+        cuts = ((1.0 + lam) * pc[:, None]
+                - (1.0 - lam) * cy[None, :]
+                - 2.0 * lam * pcy)
+        z[:, j] = np.maximum(cuts.max(axis=1), 0.0)
+    return z
+
+
+def _continuous_part(model: MilpModel, x: np.ndarray) -> np.ndarray:
+    """Optimal continuous variables at the binary part x: the cut maxima
+    (general), or per segment the distances from s, with the box bound
+    where s cannot reach a node (dual)."""
+    xf = x.astype(np.float64)
+    if model.meta["style"] == GENERAL:
+        return _cut_maxima(model, xf[None, :])[0]
+    graph = model.meta["instance"]
+    bound = _potential_bound(graph)
+    potentials = []
+    for seg in model.meta["segments"]:
+        lam = seg.point
+        costs = graph.nominal * (1.0 - lam + 2.0 * lam * xf)
+        dist = shortest_distances(graph, costs, graph.s)
+        potentials.append(np.where(np.isfinite(dist), dist, bound))
+    return np.concatenate(potentials)
 
 
 def _batched_distances(graph: GraphInstance, costs: np.ndarray) -> np.ndarray:
@@ -511,8 +485,12 @@ def _batched_distances(graph: GraphInstance, costs: np.ndarray) -> np.ndarray:
     so arc order, cycles and parallel arcs need no special care; nodes that
     s cannot reach stay at inf.  With non-negative costs each column equals,
     bit for bit, what ``shortest_distances`` returns for it: both give the
-    least left-to-right float sum over the paths from s.
+    least left-to-right float sum over the paths from s.  A single column
+    goes to ``shortest_distances`` itself, whose Dijkstra is faster than
+    the relaxation for one column.
     """
+    if costs.shape[1] == 1:
+        return shortest_distances(graph, costs[:, 0], graph.s)[:, None]
     order = np.argsort(graph.heads, kind="stable")
     heads, starts = np.unique(graph.heads[order], return_index=True)
     tails = graph.tails[order]
@@ -749,12 +727,12 @@ BACKENDS = {
 }
 
 
-def make_backend(name: str, **kwargs) -> SolverBackend:
+def make_backend(name: str) -> SolverBackend:
     try:
         cls = BACKENDS[name]
     except KeyError:
         raise UsageError(f"unknown backend {name!r}; choices: {sorted(BACKENDS)}")
-    return cls(**kwargs)
+    return cls()
 
 
 # ---------------------------------------------------------------------------
@@ -764,31 +742,8 @@ def make_backend(name: str, **kwargs) -> SolverBackend:
 def definitional_objective(model: MilpModel, x: np.ndarray) -> float:
     """Master objective at a fixed binary part with the continuous part
     resolved in closed form (cut maxima / per-segment distances)."""
-    instance = model.meta["instance"]
-    segments = model.meta["segments"]
-    nominal = instance.nominal
-    xf = np.asarray(x, dtype=np.float64)
-    total = 0.0
-    if model.meta["style"] == GENERAL:
-        pool = model.meta["pool"]
-        for seg in segments:
-            lam = seg.point
-            best = 0.0
-            for y in pool:
-                yf = y.astype(np.float64)
-                cut = ((1.0 + lam) * float(nominal @ xf)
-                       - (1.0 - lam) * float(nominal @ yf)
-                       - 2.0 * lam * float((nominal * yf) @ xf))
-                best = max(best, cut)
-            total += seg.weight * best
-        return total
-    for seg in segments:
-        lam = seg.point
-        costs = nominal * (1.0 - lam + 2.0 * lam * xf)
-        dist = shortest_distances(instance, costs, instance.s)
-        total += seg.weight * ((1.0 + lam) * float(nominal @ xf)
-                               - float(dist[instance.t]))
-    return total
+    X = np.asarray(x, dtype=np.float64)[None, :]
+    return float(_master_objectives(model, X)[0])
 
 
 def verify_master_objective(model: MilpModel, result: BackendResult,
@@ -800,8 +755,6 @@ def verify_master_objective(model: MilpModel, result: BackendResult,
     values, so a mismatch means the solver's answer is inconsistent (seen
     with buggy presolve); failing fast here protects the bound guarantees.
     """
-    if model.meta.get("style") not in (GENERAL, DUAL_SP):
-        return
     x_raw = np.round(result.assignment[: model.meta["num_x"]]).astype(np.int8)
     expect = definitional_objective(model, x_raw)
     if abs(result.objective - expect) > tol * (1.0 + abs(expect)):
@@ -823,33 +776,16 @@ def _extract_x(model: MilpModel, result: BackendResult) -> np.ndarray:
 def _clean_path(graph: GraphInstance, x: np.ndarray) -> np.ndarray:
     """Strip zero-cost cycles that flow conservation cannot forbid.
 
-    Depth-first search for a simple s-t path inside the support, expanding
-    the smallest arc index first; the support always contains one because
-    the flow constraints route one unit from s to t.
+    Returns the first simple s-t path inside the support in enumeration
+    order (depth first, smallest arc index first); the support always
+    contains one because the flow constraints route one unit from s to t.
     """
-    support = set(int(a) for a in np.flatnonzero(x))
-    if not support:
+    if not np.any(x):
         raise InfeasibleError("master solution support is empty")
-    indptr, csr_heads, csr_arcs = graph.csr()
-
-    def dfs(v, seen, edges):
-        if v == graph.t:
-            return edges
-        for k in range(indptr[v], indptr[v + 1]):
-            a = int(csr_arcs[k])
-            head = int(csr_heads[k])
-            if a in support and head not in seen:
-                found = dfs(head, seen | {head}, edges + [a])
-                if found is not None:
-                    return found
-        return None
-
-    path = dfs(graph.s, {graph.s}, [])
+    path = next(_iter_paths(graph, x), None)
     if path is None:
         raise InfeasibleError("master solution support contains no s-t path")
-    clean = np.zeros_like(x)
-    clean[path] = 1
-    return clean
+    return path
 
 
 def resolve_formulation(instance: Instance, formulation: str) -> str:

@@ -8,7 +8,6 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,47 +66,6 @@ class LambdaInterval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, lam: float, tol: float = EPS_LAMBDA) -> bool:
-        return self.lo - tol <= lam <= self.hi + tol
-
-
-class UncertaintyShape(Enum):
-    INTERVAL_RELATIVE = "interval"
-    ELLIPSOID = "ellipsoid"
-
-
-@dataclass(frozen=True)
-class UncertaintySpec:
-    """Shape + nominal scenario + size range of a scalable uncertainty set.
-
-    Interval form scales each coordinate to ``[(1-lam)*c, (1+lam)*c]`` and
-    therefore requires the size range to stay within [0, 1].  The ellipsoid
-    form is ``{c + C xi : ||xi||_2 <= lam}`` and needs the matrix ``C``.
-    """
-
-    shape: UncertaintyShape
-    nominal: np.ndarray
-    lambda_range: LambdaInterval
-    ellipsoid_matrix: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "nominal", as_costs(self.nominal))
-        if self.shape is UncertaintyShape.INTERVAL_RELATIVE:
-            if self.lambda_range.hi > 1.0 + EPS_LAMBDA:
-                raise DomainError(
-                    "interval uncertainty requires sizes within [0, 1]; "
-                    f"got hi={self.lambda_range.hi}"
-                )
-        elif self.shape is UncertaintyShape.ELLIPSOID:
-            if self.ellipsoid_matrix is None:
-                raise UsageError("ellipsoid uncertainty requires a matrix")
-            mat = np.asarray(self.ellipsoid_matrix, dtype=np.float64)
-            if mat.ndim != 2 or mat.shape[0] != self.nominal.shape[0]:
-                raise UsageError(
-                    "ellipsoid matrix must have one row per cost coordinate"
-                )
-            object.__setattr__(self, "ellipsoid_matrix", mat)
 
 
 class WeightFunction:
@@ -231,7 +189,6 @@ class RegretProfile:
 
     breaks: np.ndarray
     pieces: tuple[AffinePiece, ...]
-    owner: Optional[np.ndarray] = None
 
     def __post_init__(self):
         breaks = np.asarray(self.breaks, dtype=np.float64)
@@ -272,8 +229,8 @@ class RegretProfile:
                 raise DomainError("profile slopes must be non-decreasing")
 
 
-def upper_envelope(pieces: Sequence[AffinePiece], interval: LambdaInterval,
-                   owner: Optional[np.ndarray] = None) -> RegretProfile:
+def upper_envelope(pieces: Sequence[AffinePiece],
+                   interval: LambdaInterval) -> RegretProfile:
     """Pointwise maximum of affine pieces over an interval.
 
     Standard convex-hull sweep: sort by slope, drop dominated lines, then
@@ -286,7 +243,7 @@ def upper_envelope(pieces: Sequence[AffinePiece], interval: LambdaInterval,
     lo, hi = interval.lo, interval.hi
     if interval.width == 0.0:
         best = max(pieces, key=lambda p: p.value(lo))
-        return RegretProfile(np.array([lo, hi]), (best,), owner)
+        return RegretProfile(np.array([lo, hi]), (best,))
 
     ordered = sorted(pieces, key=lambda p: (p.slope, -p.intercept,
                                             solution_key(p.witness)))
@@ -329,7 +286,7 @@ def upper_envelope(pieces: Sequence[AffinePiece], interval: LambdaInterval,
         kept = [max(dedup, key=lambda p: p.value(mid))]
         cuts = [lo, hi]
     cuts[-1] = hi
-    return RegretProfile(np.array(cuts), tuple(kept), owner)
+    return RegretProfile(np.array(cuts), tuple(kept))
 
 
 def _isect(p: AffinePiece, q: AffinePiece) -> Optional[float]:

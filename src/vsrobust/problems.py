@@ -338,29 +338,41 @@ def _iter_solutions(instance: Instance) -> Iterator[np.ndarray]:
         yield from _iter_trees(instance)
 
 
-def _iter_paths(g: GraphInstance) -> Iterator[np.ndarray]:
-    """All simple s-t paths by DFS, expanding arcs in ascending index."""
+def _iter_paths(g: GraphInstance,
+                support: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+    """All simple s-t paths by DFS, expanding arcs in ascending index; with
+    ``support``, only through the arcs where it is nonzero.  The DFS keeps
+    an explicit stack, so path length is not bounded by recursion depth."""
     indptr, csr_heads, csr_arcs = g.csr()
+    heads, arcs = csr_heads.tolist(), csr_arcs.tolist()
+    keep = ([True] * g.num_arcs if support is None
+            else (np.asarray(support) != 0).tolist())
+    out = [[(heads[k], arcs[k]) for k in range(indptr[v], indptr[v + 1])
+            if keep[arcs[k]]] for v in range(g.num_nodes)]
     x = np.zeros(g.num_arcs, dtype=np.int8)
-    on_path = np.zeros(g.num_nodes, dtype=bool)
+    on_path = [False] * g.num_nodes
     on_path[g.s] = True
-
-    def rec(v) -> Iterator[np.ndarray]:
-        if v == g.t:
-            yield x.copy()
-            return
-        for k in range(indptr[v], indptr[v + 1]):
-            w = int(csr_heads[k])
+    stack = [iter(out[g.s])]  # the unexpanded out-arcs of each path node
+    entered = []  # (node, arc) by which each path node after s was entered
+    while stack:
+        for w, a in stack[-1]:
             if on_path[w]:
                 continue
-            a = int(csr_arcs[k])
-            on_path[w] = True
             x[a] = 1
-            yield from rec(w)
-            x[a] = 0
-            on_path[w] = False
-
-    yield from rec(g.s)
+            if w == g.t:
+                yield x.copy()
+                x[a] = 0
+                continue
+            on_path[w] = True
+            entered.append((w, a))
+            stack.append(iter(out[w]))
+            break
+        else:
+            stack.pop()
+            if entered:
+                w, a = entered.pop()
+                on_path[w] = False
+                x[a] = 0
 
 
 def _iter_trees(g: GraphInstance) -> Iterator[np.ndarray]:

@@ -121,7 +121,7 @@ def compute_val(instance: Instance, x: np.ndarray, w: WeightFunction,
             raise CapacityError(
                 f"changepoint candidates exceed cap {max_changepoints}")
 
-    profile = upper_envelope(piece_list, dom, owner=x)
+    profile = upper_envelope(piece_list, dom)
     profile.validate()
     val = integrate_profile(profile, w)
     witnesses = [p.witness for p in profile.pieces]

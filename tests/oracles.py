@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it checks: regret values
 come from exhaustive enumeration of the feasible set plus dense-grid maxima
 (never from the envelope sweep or the analytic integrator), weight moments
-come from Simpson quadrature, and shortest paths from a dense pure-Python
-label-setting Dijkstra.
+come from Simpson quadrature, shortest paths from a dense pure-Python
+label-setting Dijkstra, and general-style master objectives from one cut at
+a time.
 """
 
 from __future__ import annotations
@@ -59,6 +60,26 @@ def dijkstra_py(n, indptr, csr_heads, csr_arcs, costs, source):
                 pred_node[v] = u
                 pred_arc[v] = a
     return dist, pred_node, pred_arc
+
+
+def general_objective(model, x):
+    """Objective of a general-style (cut-pool) master at the binary part x,
+    cut by cut: per segment, the largest cut, or 0 if every cut is
+    negative, weighted by the segment's mass."""
+    nominal = model.meta["instance"].nominal
+    xf = np.asarray(x, dtype=np.float64)
+    total = 0.0
+    for seg in model.meta["segments"]:
+        lam = seg.point
+        best = 0.0
+        for y in model.meta["pool"]:
+            yf = y.astype(np.float64)
+            cut = ((1.0 + lam) * float(nominal @ xf)
+                   - (1.0 - lam) * float(nominal @ yf)
+                   - 2.0 * lam * float((nominal * yf) @ xf))
+            best = max(best, cut)
+        total += seg.weight * best
+    return total
 
 
 def regret_lines(instance, x, solutions=None):

@@ -6,7 +6,7 @@ import pytest
 
 from vsrobust import (CapacityError, DomainError, EnumerationBackend,
                       ExternalBackend, GraphInstance, HighsBackend, MilpModel,
-                      SHORTEST_PATH,
+                      SHORTEST_PATH, SPANNING_TREE,
                       SelectionInstance, UsageError, WeightFunction,
                       algorithm1, backend_emit_and_invoke,
                       build_formulation_dual_sp, build_formulation_general,
@@ -16,8 +16,8 @@ from vsrobust import (CapacityError, DomainError, EnumerationBackend,
 from vsrobust.master import build_segments, definitional_objective
 from vsrobust.instances import SplitMix64
 
-from oracles import random_instance, random_mst_graph, random_sp_graph, \
-    random_selection, random_weight, riemann_val
+from oracles import general_objective, random_instance, random_mst_graph, \
+    random_sp_graph, random_selection, random_weight, riemann_val
 
 MOCK_CMD = (f"{sys.executable} "
             f"{os.path.join(os.path.dirname(__file__), 'mock_solver.py')} "
@@ -69,6 +69,20 @@ ODD_SP_GRAPHS = {
     "unreachable": _sp_graph(4, [(0, 1, 3), (1, 2, 5), (3, 2, 1),
                                  (0, 2, 20)], s=0, t=2),
 }
+
+
+def _assert_enumeration_first_minimum(model, sols, objective, exact):
+    """The enumeration backend returns the first solution of least
+    ``objective`` and that objective, exactly or to 1e-12 relative."""
+    objs = [objective(model, y) for y in sols]
+    best = objs.index(min(objs))
+    res = EnumerationBackend().solve(model)
+    if exact:
+        assert res.objective == objs[best]
+    else:
+        assert res.objective == pytest.approx(objs[best], rel=1e-12)
+    assert np.array_equal(res.assignment[: model.meta["num_x"]], sols[best])
+    assert model.check_assignment(res.assignment)
 
 
 def _raw_one_var():
@@ -175,25 +189,54 @@ class TestFormulations:
 
     def test_dual_master_without_path_is_infeasible(self, unit_weight):
         g = _sp_graph(3, [(0, 1, 1.0), (2, 1, 1.0)], s=0, t=2)
-        model = build_formulation_dual_sp(g, [0.5], unit_weight)
-        for backend in (EnumerationBackend(), HighsBackend()):
-            assert backend.solve(model).status == "infeasible"
+        forest = GraphInstance(num_nodes=4, tails=np.array([0, 2]),
+                               heads=np.array([1, 3]),
+                               nominal=np.array([1.0, 2.0]),
+                               kind=SPANNING_TREE)
+        models = [build_formulation_dual_sp(g, [0.5], unit_weight)]
+        for inst in (g, forest):
+            pool = [np.ones(inst.num_arcs, dtype=np.int8)]
+            models.append(build_formulation_general(inst, [0.5], pool,
+                                                    unit_weight))
+        for model in models:
+            for backend in (EnumerationBackend(), HighsBackend()):
+                assert backend.solve(model).status == "infeasible"
 
-    @pytest.mark.parametrize("name", sorted(ODD_SP_GRAPHS))
+    def test_enumeration_rejects_model_without_style(self):
+        with pytest.raises(UsageError):
+            EnumerationBackend().solve(_raw_one_var())
+
+    @pytest.mark.parametrize("name", sorted(ODD_SP_GRAPHS) + ["random"])
     def test_enumeration_dual_matches_definitional_first_minimum(self, name):
-        g = ODD_SP_GRAPHS[name]
-        sols = enumerate_solutions(g)
+        # dual masters exactly against definitional_objective, whose single
+        # row runs Dijkstra instead of the batched relaxation; general
+        # masters against the cut-by-cut reference
+        if name == "random":
+            rng = SplitMix64(1031)
+            cases = []
+            for _ in range(8):
+                inst = random_instance(rng)
+                sols = enumerate_solutions(inst)
+                pool = [sols[rng.randint(0, len(sols) - 1)]
+                        for _ in range(rng.randint(2, 3))]
+                cases.append((inst, sols, [pool]))
+        else:
+            g = ODD_SP_GRAPHS[name]
+            sols = enumerate_solutions(g)
+            cases = [(g, sols, [sols[:2], sols[-3:]])]
         weights = (WeightFunction.constant(0.0, 1.0),
                    WeightFunction([(0.0, 1.0), (0.5, 3.0), (1.0, 0.5)]))
-        for w in weights:
-            for lams in ([0.5], [0.2, 0.7], [0.1, 0.4, 0.6, 0.9]):
-                model = build_formulation_dual_sp(g, lams, w)
-                objs = [definitional_objective(model, y) for y in sols]
-                best = objs.index(min(objs))
-                res = EnumerationBackend().solve(model)
-                assert res.objective == objs[best]
-                assert np.array_equal(res.assignment[: g.num_arcs], sols[best])
-                assert model.check_assignment(res.assignment)
+        for inst, sols, pools in cases:
+            for w in weights:
+                for lams in ([0.5], [0.2, 0.7], [0.1, 0.4, 0.6, 0.9]):
+                    if name != "random":
+                        model = build_formulation_dual_sp(inst, lams, w)
+                        _assert_enumeration_first_minimum(
+                            model, sols, definitional_objective, exact=True)
+                    for pool in pools:
+                        model = build_formulation_general(inst, lams, pool, w)
+                        _assert_enumeration_first_minimum(
+                            model, sols, general_objective, exact=False)
 
 
 class TestAlgorithm1:
@@ -231,6 +274,18 @@ class TestAlgorithm1:
                                      backend=EnumerationBackend())
             _, val_h, _ = algorithm1(inst, unit_weight, backend=HighsBackend())
             assert val_h == pytest.approx(val_e, rel=1e-7, abs=1e-9)
+
+    def test_long_chain_has_no_recursion_limit(self, unit_weight):
+        n = 1500
+        g = GraphInstance(num_nodes=n + 1, tails=np.arange(n),
+                          heads=np.arange(1, n + 1),
+                          nominal=np.arange(1.0, n + 1.0),
+                          kind=SHORTEST_PATH, s=0, t=n)
+        _, val, _ = algorithm1(g, unit_weight)
+        assert val == 0.0
+        assert solve_minmax_regret_fixed(g, 0.5)[1] == 0.0
+        sols = enumerate_solutions(g)
+        assert len(sols) == 1 and np.all(sols[0] == 1)
 
     def test_enumeration_capacity_error(self, unit_weight):
         inst = SelectionInstance(n=12, p=6, nominal=np.arange(1.0, 13.0))

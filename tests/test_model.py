@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from vsrobust import (AffinePiece, DomainError, LambdaInterval,
-                      UncertaintyShape, UncertaintySpec, UsageError,
+from vsrobust import (AffinePiece, DomainError, LambdaInterval, UsageError,
                       WeightFunction, effective_cost, upper_envelope,
                       weight_moments)
 from vsrobust.instances import SplitMix64
@@ -139,26 +138,6 @@ class TestWeightFunctionValidation:
     def test_degenerate_single_point_allowed(self):
         w = WeightFunction.constant(0.0, 0.0)
         assert w.total_mass() == 0.0
-
-
-class TestUncertaintySpec:
-    def test_interval_rejects_large_sizes(self):
-        with pytest.raises(DomainError):
-            UncertaintySpec(shape=UncertaintyShape.INTERVAL_RELATIVE,
-                            nominal=np.array([1.0]),
-                            lambda_range=LambdaInterval(0.0, 2.0))
-
-    def test_ellipsoid_requires_matrix(self):
-        with pytest.raises(UsageError):
-            UncertaintySpec(shape=UncertaintyShape.ELLIPSOID,
-                            nominal=np.array([1.0]),
-                            lambda_range=LambdaInterval(0.0, 3.0))
-
-    def test_interval_within_unit_range_ok(self):
-        spec = UncertaintySpec(shape=UncertaintyShape.INTERVAL_RELATIVE,
-                               nominal=np.array([2.0, 3.0]),
-                               lambda_range=LambdaInterval(0.0, 1.0))
-        assert spec.nominal.dtype == np.float64
 
     def test_negative_interval_bounds_rejected(self):
         with pytest.raises(DomainError):
