@@ -32,8 +32,8 @@ from .exceptions import (BackendError, CapacityError, DomainError,
                          InfeasibleError, StallError, UsageError)
 from .model import EPS_LAMBDA, WeightFunction, solution_key
 from .problems import (GraphInstance, Instance, SHORTEST_PATH, SPANNING_TREE,
-                       SelectionInstance, _iter_paths, enumerate_solutions,
-                       shortest_distances, solve_nominal)
+                       SelectionInstance, _hops, _iter_paths,
+                       enumerate_solutions, shortest_distances, solve_nominal)
 from .regret import compute_val, regret_at
 
 GENERAL = "general"
@@ -428,13 +428,8 @@ def _master_objectives(model: MilpModel, X: np.ndarray) -> np.ndarray:
         terms = _cut_maxima(model, X).T
     else:
         pc = np.array([float(nominal @ x) for x in X])
-        Xt = np.ascontiguousarray(X.T)
-        terms = []
-        for seg in segments:
-            lam = seg.point
-            dist = _batched_distances(
-                instance, nominal[:, None] * (1.0 - lam + 2.0 * lam * Xt))
-            terms.append((1.0 + lam) * pc - dist[instance.t])
+        dist = _batched_distances(instance, X, [seg.point for seg in segments])
+        terms = [(1.0 + seg.point) * pc - d for seg, d in zip(segments, dist)]
     objs = np.zeros(X.shape[0])
     for seg, term in zip(segments, terms):
         objs += seg.weight * term
@@ -477,33 +472,68 @@ def _continuous_part(model: MilpModel, x: np.ndarray) -> np.ndarray:
     return np.concatenate(potentials)
 
 
-def _batched_distances(graph: GraphInstance, costs: np.ndarray) -> np.ndarray:
-    """Distances from s, shape (V, B), under each column of the (m, B)
-    cost matrix.
+def _batched_distances(graph: GraphInstance, X: np.ndarray,
+                       lams: Sequence[float]) -> np.ndarray:
+    """s-t distances, shape (len(lams), rows of X), under the worst-case
+    costs nominal * (1 - lam + 2 lam x) of each row x of the 0/1 matrix X.
 
-    Jacobi Bellman-Ford relaxation to its fixpoint (at most V - 1 rounds),
-    so arc order, cycles and parallel arcs need no special care; nodes that
-    s cannot reach stay at inf.  With non-negative costs each column equals,
-    bit for bit, what ``shortest_distances`` returns for it: both give the
-    least left-to-right float sum over the paths from s.  A single column
-    goes to ``shortest_distances`` itself, whose Dijkstra is faster than
-    the relaxation for one column.
+    One row goes to ``shortest_distances`` (Dijkstra).  More rows are
+    relaxed together, Gauss-Seidel in BFS-level order: the arcs into nodes
+    other than s that s reaches are sorted by (level of head, head, index),
+    and each level takes one gather and one minimum per head, seeing the
+    levels below as already updated in the same sweep.  Sweeps repeat until
+    one changes nothing, which covers cycles, arcs within or back across
+    levels, parallel arcs and s != 0.  On a graded graph, where every arc
+    out of a reached node ends one level higher (any complete layered
+    graph), each level's tails are final before it is relaxed, so one sweep
+    is enough.  Nodes that s cannot reach stay at inf.
+
+    With non-negative costs each distance ends as the least
+    ``dist[tail] + cost`` over its in-arcs at final tail distances: the
+    least left-to-right float sum over the paths from s, which Dijkstra
+    also returns.  The costs are built in sweep order by the same float
+    operations as for one row, so each column equals the one-row result
+    bit for bit.
     """
-    if costs.shape[1] == 1:
-        return shortest_distances(graph, costs[:, 0], graph.s)[:, None]
-    order = np.argsort(graph.heads, kind="stable")
-    heads, starts = np.unique(graph.heads[order], return_index=True)
-    tails = graph.tails[order]
-    costs = costs[order]
-    dist = np.full((graph.num_nodes, costs.shape[1]), np.inf)
-    dist[graph.s] = 0.0
-    for _ in range(graph.num_nodes - 1):
-        relaxed = np.minimum.reduceat(dist[tails] + costs, starts, axis=0)
-        current = dist[heads]
-        if not np.any(relaxed < current):
-            break
-        dist[heads] = np.minimum(current, relaxed)
-    return dist
+    nominal = graph.nominal
+    if X.shape[0] == 1:
+        return np.array([[shortest_distances(
+            graph, nominal * (1.0 - lam + 2.0 * lam * X[0]), graph.s)[graph.t]]
+            for lam in lams])
+    tails, heads = graph.tails, graph.heads
+    hops = _hops(graph.num_nodes, graph.s, tails, heads)
+    from_reached = np.isfinite(hops[tails])
+    graded = bool(np.all(hops[heads[from_reached]]
+                         == hops[tails[from_reached]] + 1.0))
+    arcs = np.flatnonzero(np.isfinite(hops[heads]) & (heads != graph.s))
+    arcs = arcs[np.lexsort((arcs, heads[arcs], hops[heads[arcs]]))]
+    tails, heads, level = tails[arcs], heads[arcs], hops[heads[arcs]]
+    bounds = np.append(np.flatnonzero(np.diff(level, prepend=-1.0)), arcs.size)
+    levels = []  # (arc span, distinct heads, first arc of each head)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        starts = np.flatnonzero(np.diff(heads[lo:hi], prepend=-1))
+        levels.append((slice(lo, hi), heads[lo + starts], starts))
+    chosen = (X != 0).T[arcs]
+    nominal = nominal[arcs, None]
+    dist = np.empty((graph.num_nodes, X.shape[0]))
+    out = np.empty((len(lams), X.shape[0]))
+    for i, lam in enumerate(lams):
+        costs = np.where(chosen, nominal * (1.0 - lam + 2.0 * lam * 1.0),
+                         nominal * (1.0 - lam + 2.0 * lam * 0.0))
+        dist.fill(np.inf)
+        dist[graph.s] = 0.0
+        changed = True
+        while changed:
+            changed = False
+            for span, level_heads, starts in levels:
+                relaxed = np.minimum.reduceat(
+                    dist[tails[span]] + costs[span], starts, axis=0)
+                current = dist[level_heads]
+                changed = changed or bool(np.any(relaxed < current))
+                dist[level_heads] = np.minimum(current, relaxed)
+            changed = changed and not graded
+        out[i] = dist[graph.t]
+    return out
 
 
 def _solve_with_cycle_rows(model: MilpModel, solve_once) -> BackendResult:

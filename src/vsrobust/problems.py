@@ -376,30 +376,30 @@ def _iter_paths(g: GraphInstance,
 
 
 def _iter_trees(g: GraphInstance) -> Iterator[np.ndarray]:
-    """All spanning trees via include/exclude recursion on edge index with
-    connectivity pruning (contraction/deletion in disguise).  ``k`` counts
-    the components of the chosen forest; a tree is complete at k == 1."""
+    """All spanning trees via include/exclude branching on edge index, on
+    an explicit stack, include first, with connectivity pruning (contraction
+    /deletion in disguise).  ``k`` counts the components of the chosen
+    forest; a tree is complete at k == 1."""
     n, m = g.num_nodes, g.num_arcs
     if n == 1:
         yield np.zeros(m, dtype=np.int8)
         return
-
-    def rec(i, parent, k, chosen) -> Iterator[np.ndarray]:
+    stack = [(0, list(range(n)), n, [])]  # (edge, parent, k, chosen)
+    while stack:
+        i, parent, k, chosen = stack.pop()
         if k == 1:
             x = np.zeros(m, dtype=np.int8)
             x[chosen] = 1
             yield x
-            return
+            continue
         if i == m or (k - 1) > (m - i):
-            return  # too few edges left to connect
+            continue  # too few edges left to connect
+        stack.append((i + 1, parent, k, chosen))
         ra, rb = _find(parent, int(g.tails[i])), _find(parent, int(g.heads[i]))
         if ra != rb:
             child = list(parent)
             child[ra] = rb
-            yield from rec(i + 1, child, k - 1, chosen + [i])
-        yield from rec(i + 1, parent, k, chosen)
-
-    yield from rec(0, list(range(n)), n, [])
+            stack.append((i + 1, child, k - 1, chosen + [i]))
 
 
 def _find(parent, a):

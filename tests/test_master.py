@@ -14,10 +14,11 @@ from vsrobust import (CapacityError, DomainError, EnumerationBackend,
                       regret_at, solve_minmax_regret_fixed, solve_nominal,
                       write_lp)
 from vsrobust.master import build_segments, definitional_objective
-from vsrobust.instances import SplitMix64
+from vsrobust.instances import SplitMix64, gen_layered
 
-from oracles import general_objective, random_instance, random_mst_graph, \
-    random_sp_graph, random_selection, random_weight, riemann_val
+from oracles import general_objective, random_digraph, random_instance, \
+    random_mst_graph, random_sp_graph, random_selection, random_weight, \
+    riemann_val
 
 MOCK_CMD = (f"{sys.executable} "
             f"{os.path.join(os.path.dirname(__file__), 'mock_solver.py')} "
@@ -68,6 +69,10 @@ ODD_SP_GRAPHS = {
     # node 3 cannot be reached from s but has an arc into t
     "unreachable": _sp_graph(4, [(0, 1, 3), (1, 2, 5), (3, 2, 1),
                                  (0, 2, 20)], s=0, t=2),
+    # DAG with arc 1 -> 2 inside BFS level 1, so one sweep in level order
+    # does not reach the distances either
+    "skip": _sp_graph(4, [(2, 3, 1), (1, 2, 1), (0, 2, 10), (0, 1, 1)],
+                      s=0, t=3),
 }
 
 
@@ -206,12 +211,20 @@ class TestFormulations:
         with pytest.raises(UsageError):
             EnumerationBackend().solve(_raw_one_var())
 
-    @pytest.mark.parametrize("name", sorted(ODD_SP_GRAPHS) + ["random"])
+    @pytest.mark.parametrize("name", sorted(ODD_SP_GRAPHS)
+                             + ["digraph", "layered", "random"])
     def test_enumeration_dual_matches_definitional_first_minimum(self, name):
         # dual masters exactly against definitional_objective, whose single
         # row runs Dijkstra instead of the batched relaxation; general
         # masters against the cut-by-cut reference
-        if name == "random":
+        if name == "digraph":
+            rng = SplitMix64(2029)
+            graphs = [random_digraph(rng, max_paths=30) for _ in range(20)]
+            cases = [(g, enumerate_solutions(g), []) for g in graphs]
+        elif name == "layered":  # graded: a single sweep
+            graphs = [gen_layered(3, 3, "B", seed) for seed in (4, 5)]
+            cases = [(g, enumerate_solutions(g), []) for g in graphs]
+        elif name == "random":
             rng = SplitMix64(1031)
             cases = []
             for _ in range(8):
@@ -286,6 +299,14 @@ class TestAlgorithm1:
         assert solve_minmax_regret_fixed(g, 0.5)[1] == 0.0
         sols = enumerate_solutions(g)
         assert len(sols) == 1 and np.all(sols[0] == 1)
+        tree = GraphInstance(num_nodes=n + 1, tails=np.arange(n),
+                             heads=np.arange(1, n + 1),
+                             nominal=np.arange(1.0, n + 1.0),
+                             kind=SPANNING_TREE)
+        sols = enumerate_solutions(tree)
+        assert len(sols) == 1 and np.all(sols[0] == 1)
+        _, val, _ = algorithm1(tree, unit_weight, EnumerationBackend())
+        assert val == 0.0
 
     def test_enumeration_capacity_error(self, unit_weight):
         inst = SelectionInstance(n=12, p=6, nominal=np.arange(1.0, 13.0))
