@@ -16,11 +16,13 @@ external solver via ``VSR_SOLVER_CMD``.
 from __future__ import annotations
 
 import bisect
+import math
 import os
 import shlex
 import subprocess
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -115,7 +117,7 @@ class MilpModel:
         if sense not in ("<=", ">=", "="):
             raise UsageError(f"bad constraint sense {sense!r}")
         for coef in coeffs.values():
-            if not np.isfinite(coef):
+            if not math.isfinite(coef):
                 raise UsageError("constraint coefficients must be finite")
         self.row_coeffs.append(dict(coeffs))
         self.row_senses.append(sense)
@@ -200,14 +202,13 @@ def _feasibility_rows(model: MilpModel, instance: Instance):
         model.add_row({i: 1.0 for i in range(instance.n)}, "=", float(instance.p))
         return
     if instance.kind == SHORTEST_PATH:
-        m = instance.num_arcs
-        for v in range(instance.num_nodes):
-            coeffs = {}
-            for a in range(m):
-                if instance.tails[a] == v:
-                    coeffs[a] = coeffs.get(a, 0.0) + 1.0
-                if instance.heads[a] == v:
-                    coeffs[a] = coeffs.get(a, 0.0) - 1.0
+        # node-arc incidence, one pass over the arcs; a self-loop cancels
+        rows = [{} for _ in range(instance.num_nodes)]
+        for a, (tail, head) in enumerate(zip(instance.tails.tolist(),
+                                             instance.heads.tolist())):
+            rows[tail][a] = 1.0
+            rows[head][a] = rows[head].get(a, 0.0) - 1.0
+        for v, coeffs in enumerate(rows):
             coeffs = {a: c for a, c in coeffs.items() if c != 0.0}
             rhs = 1.0 if v == instance.s else (-1.0 if v == instance.t else 0.0)
             if coeffs or rhs:
@@ -353,6 +354,13 @@ class HighsBackend(SolverBackend):
     presolve enabled, and the algorithm needs true optima for valid lower
     bounds.  ``verify_master_objective`` guards every master solve
     regardless of backend.
+
+    The Feasibility Jump primal heuristic is off as well.  HiGHS runs it
+    before every MILP solve at a fixed cost (about 13 ms, several times the
+    whole solve of a small master), and it only proposes incumbents: with a
+    zero relative gap, branch and bound still proves the optimum.  Where a
+    master has several optimal x, turning it off can change which one HiGHS
+    reports.
     """
 
     name = "highs"
@@ -366,9 +374,15 @@ class HighsBackend(SolverBackend):
             [1 if v.kind == "B" else 0 for v in model.variables])
         bounds = Bounds(np.array([v.lb for v in model.variables]),
                         np.array([v.ub for v in model.variables]))
-        res = milp(c=model.obj, constraints=LinearConstraint(a, lb, ub),
-                   integrality=integrality, bounds=bounds,
-                   options={"mip_rel_gap": 0.0, "presolve": False})
+        options = {"mip_rel_gap": 0.0, "presolve": False,
+                   "mip_heuristic_run_feasibility_jump": False}
+        with warnings.catch_warnings():
+            # scipy passes options it does not list on to HiGHS verbatim
+            # and warns about them on every call
+            warnings.filterwarnings("ignore", message="Unrecognized options",
+                                    category=RuntimeWarning)
+            res = milp(c=model.obj, constraints=LinearConstraint(a, lb, ub),
+                       integrality=integrality, bounds=bounds, options=options)
         if res.status == 2:
             return BackendResult("infeasible", None, None, res.message)
         if not res.success:
@@ -936,6 +950,7 @@ def solve_minmax_regret_fixed(instance: Instance, lam: float,
         result = backend.solve(model)
         if result.status != "optimal":
             raise BackendError(f"master solve failed: {result.status}")
+        verify_master_objective(model, result)
         x = _extract_x(model, result)
         return x, regret_at(instance, x, lam)[0]
     pool = [solve_nominal(instance, instance.nominal)[0]]
@@ -945,6 +960,7 @@ def solve_minmax_regret_fixed(instance: Instance, lam: float,
         result = backend.solve(model)
         if result.status != "optimal":
             raise BackendError(f"master solve failed: {result.status}")
+        verify_master_objective(model, result)
         x = _extract_x(model, result)
         lb = result.objective
         reg, witness = regret_at(instance, x, lam)

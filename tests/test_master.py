@@ -1,11 +1,13 @@
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from vsrobust import (CapacityError, DomainError, EnumerationBackend,
-                      ExternalBackend, GraphInstance, HighsBackend, MilpModel,
+from vsrobust import (BackendError, CapacityError, DomainError,
+                      EnumerationBackend, ExternalBackend, GraphInstance,
+                      HighsBackend, MilpModel,
                       SHORTEST_PATH, SPANNING_TREE,
                       SelectionInstance, UsageError, WeightFunction,
                       algorithm1, backend_emit_and_invoke,
@@ -13,7 +15,9 @@ from vsrobust import (CapacityError, DomainError, EnumerationBackend,
                       compute_val, enumerate_solutions, parse_solution_file,
                       regret_at, solve_minmax_regret_fixed, solve_nominal,
                       write_lp)
-from vsrobust.master import build_segments, definitional_objective
+from vsrobust import master
+from vsrobust.master import (BackendResult, build_segments,
+                             definitional_objective)
 from vsrobust.instances import SplitMix64, gen_layered
 
 from oracles import general_objective, random_digraph, random_instance, \
@@ -170,6 +174,26 @@ class TestFormulations:
     def test_dual_model_matches_golden_lp(self, two_parallel, unit_weight):
         model = build_formulation_dual_sp(two_parallel, [0.5], unit_weight)
         assert write_lp(model) == GOLDEN_DUAL_LP
+
+    def test_flow_rows_match_node_arc_incidence(self):
+        rng = SplitMix64(4141)
+        graphs = (list(ODD_SP_GRAPHS.values())
+                  + [random_digraph(rng) for _ in range(20)])
+        assert any(np.any(g.tails == g.heads) for g in graphs)  # self-loops
+        for g in graphs:
+            expect = []
+            for v in range(g.num_nodes):
+                coeffs = [(a, float(g.tails[a] == v) - float(g.heads[a] == v))
+                          for a in range(g.num_arcs)]
+                coeffs = [(a, c) for a, c in coeffs if c != 0.0]
+                rhs = 1.0 if v == g.s else (-1.0 if v == g.t else 0.0)
+                if coeffs or rhs:
+                    expect.append((coeffs, "=", rhs))
+            model = MilpModel()
+            master._feasibility_rows(model, g)
+            got = [(list(row.items()), sense, rhs) for row, sense, rhs
+                   in zip(model.row_coeffs, model.row_senses, model.row_rhs)]
+            assert got == expect
 
     def test_backend_assignment_satisfies_model(self, two_parallel, unit_weight):
         pool = [np.array([1, 0], dtype=np.int8), np.array([0, 1], dtype=np.int8)]
@@ -361,6 +385,56 @@ class TestFixedRegret:
             _, r2 = solve_minmax_regret_fixed(g, lam, formulation="general",
                                               backend=HighsBackend())
             assert r1 == pytest.approx(r2, rel=1e-7, abs=1e-9)
+
+
+class _OffByOneBackend(EnumerationBackend):
+    """Claims an objective one above that of the solution it returns."""
+
+    def solve(self, model):
+        res = super().solve(model)
+        return BackendResult(res.status, res.assignment, res.objective + 1.0)
+
+
+class TestMasterVerification:
+    @pytest.mark.parametrize("formulation", ["dual_sp", "general"])
+    def test_fixed_size_solve_checks_master_objective(self, two_parallel,
+                                                      formulation):
+        with pytest.raises(BackendError):
+            solve_minmax_regret_fixed(two_parallel, 0.37,
+                                      backend=_OffByOneBackend(),
+                                      formulation=formulation)
+
+
+class TestHighsCall:
+    @staticmethod
+    def _masters(two_parallel, unit_weight):
+        pool = [np.array([1, 0], dtype=np.int8)]
+        return (build_formulation_dual_sp(two_parallel, [0.5], unit_weight),
+                build_formulation_general(two_parallel, [0.5], pool,
+                                          unit_weight))
+
+    def test_milp_options(self, monkeypatch, two_parallel, unit_weight):
+        calls = []
+        milp = master.milp
+
+        def recorder(*args, **kwargs):
+            calls.append(kwargs["options"])
+            return milp(*args, **kwargs)
+
+        monkeypatch.setattr(master, "milp", recorder)
+        for model in self._masters(two_parallel, unit_weight):
+            assert HighsBackend().solve(model).status == "optimal"
+        assert len(calls) == 2
+        for options in calls:
+            assert options["mip_rel_gap"] == 0.0
+            assert options["presolve"] is False
+            assert options["mip_heuristic_run_feasibility_jump"] is False
+
+    def test_solve_leaks_no_warning(self, two_parallel, unit_weight):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model in self._masters(two_parallel, unit_weight):
+                assert HighsBackend().solve(model).status == "optimal"
 
 
 class TestExternalBackend:
