@@ -361,6 +361,12 @@ class HighsBackend(SolverBackend):
     zero relative gap, branch and bound still proves the optimum.  Where a
     master has several optimal x, turning it off can change which one HiGHS
     reports.
+
+    ``meta['incumbents']``, feasible 0/1 solutions already known, bound the
+    objective for HiGHS by their least master objective (plus 1e-9
+    relative), which the optimum never exceeds.  HiGHS 1.12 can report
+    "optimal" at or above that bound; such an answer, or "infeasible",
+    proves nothing, and the model is solved again without the bound.
     """
 
     name = "highs"
@@ -374,15 +380,30 @@ class HighsBackend(SolverBackend):
             [1 if v.kind == "B" else 0 for v in model.variables])
         bounds = Bounds(np.array([v.lb for v in model.variables]),
                         np.array([v.ub for v in model.variables]))
+        constraints = LinearConstraint(a, lb, ub)
         options = {"mip_rel_gap": 0.0, "presolve": False,
                    "mip_heuristic_run_feasibility_jump": False}
-        with warnings.catch_warnings():
-            # scipy passes options it does not list on to HiGHS verbatim
-            # and warns about them on every call
-            warnings.filterwarnings("ignore", message="Unrecognized options",
-                                    category=RuntimeWarning)
-            res = milp(c=model.obj, constraints=LinearConstraint(a, lb, ub),
-                       integrality=integrality, bounds=bounds, options=options)
+
+        def run(options):
+            with warnings.catch_warnings():
+                # scipy passes options it does not list on to HiGHS verbatim
+                # and warns about them on every call
+                warnings.filterwarnings("ignore", category=RuntimeWarning,
+                                        message="Unrecognized options")
+                return milp(c=model.obj, constraints=constraints,
+                            integrality=integrality, bounds=bounds,
+                            options=options)
+
+        res = None
+        if model.meta.get("incumbents"):
+            X = np.array(model.meta["incumbents"], dtype=np.float64)
+            best = float(_master_objectives(model, X).min())
+            cutoff = best + 1e-9 * (1.0 + abs(best))
+            res = run({**options, "objective_bound": cutoff})
+            if not (res.success and res.fun < cutoff):
+                res = None  # proves nothing; see the class docstring
+        if res is None:
+            res = run(options)
         if res.status == 2:
             return BackendResult("infeasible", None, None, res.message)
         if not res.success:
@@ -858,24 +879,27 @@ def algorithm1(instance: Instance, w: WeightFunction,
     Seeds the changepoint set with the weight-domain midpoint, then
     alternates master solves (lower bounds) with exact evaluation of the
     candidate (upper bounds), accumulating the candidate's changepoints and,
-    for the general formulation, its regret solutions, until the bounds meet
-    within ``epsilon`` (relative).  Returns the best incumbent.
+    for the general formulation, its regret solutions, until
+    ``best_ub - lb <= epsilon * (1 + |best_ub|)``: relative above 1 and
+    absolute below.  Every master carries the feasible solutions seen so
+    far (the nominal solution, the candidates and their regret solutions)
+    as ``meta['incumbents']``.  Returns the best incumbent.
     """
     if epsilon <= 0:
         raise UsageError("epsilon must be positive")
     backend = backend or HighsBackend()
     style = resolve_formulation(instance, formulation)
     dom = w.domain
+    y0, _ = solve_nominal(instance, instance.nominal)
     if dom.width == 0.0:
         # zero-length integral: every feasible solution has value zero
-        x_hat, _ = solve_nominal(instance, instance.nominal)
         state = MasterState(lambda_set=[dom.lo])
         state.iterations.append(IterationRecord(0, 0.0, 0.0, 1, 0.0))
-        return x_hat, 0.0, state
+        return y0, 0.0, state
     state = MasterState(lambda_set=[0.5 * (dom.lo + dom.hi)])
+    incumbents = {solution_key(y0): y0}
     pool_keys = set()
     if style == GENERAL:
-        y0, _ = solve_nominal(instance, instance.nominal)
         state.pool.append(y0)
         pool_keys.add(solution_key(y0))
     best_x = None
@@ -887,6 +911,7 @@ def algorithm1(instance: Instance, w: WeightFunction,
         else:
             model = build_formulation_general(instance, state.lambda_set,
                                               state.pool, w)
+        model.meta["incumbents"] = list(incumbents.values())
         result = backend.solve(model)
         if result.status != "optimal":
             raise BackendError(
@@ -895,6 +920,8 @@ def algorithm1(instance: Instance, w: WeightFunction,
         lb = result.objective
         x = _extract_x(model, result)
         ev = compute_val(instance, x, w)
+        for y in [x, *ev.witnesses]:
+            incumbents.setdefault(solution_key(y), y)
         ub = ev.val
         if ub < best_ub:
             best_ub = ub
@@ -945,23 +972,27 @@ def solve_minmax_regret_fixed(instance: Instance, lam: float,
     backend = backend or HighsBackend()
     style = resolve_formulation(instance, formulation)
     point_segment = [Segment(lo=lam, hi=lam, weight=1.0, point=lam)]
+    pool = [solve_nominal(instance, instance.nominal)[0]]
     if style == DUAL_SP:
         model = _dual_sp_from_segments(instance, point_segment)
+        model.meta["incumbents"] = pool
         result = backend.solve(model)
         if result.status != "optimal":
             raise BackendError(f"master solve failed: {result.status}")
         verify_master_objective(model, result)
         x = _extract_x(model, result)
         return x, regret_at(instance, x, lam)[0]
-    pool = [solve_nominal(instance, instance.nominal)[0]]
     pool_keys = {solution_key(pool[0])}
+    candidates = []
     for _ in range(10000):
         model = _general_from_segments(instance, point_segment, pool)
+        model.meta["incumbents"] = pool + candidates
         result = backend.solve(model)
         if result.status != "optimal":
             raise BackendError(f"master solve failed: {result.status}")
         verify_master_objective(model, result)
         x = _extract_x(model, result)
+        candidates.append(x)
         lb = result.objective
         reg, witness = regret_at(instance, x, lam)
         if reg - lb <= epsilon * (1.0 + abs(reg)):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from vsrobust import (BackendError, CapacityError, DomainError,
                       EnumerationBackend, ExternalBackend, GraphInstance,
@@ -422,13 +423,89 @@ class TestHighsCall:
             return milp(*args, **kwargs)
 
         monkeypatch.setattr(master, "milp", recorder)
-        for model in self._masters(two_parallel, unit_weight):
-            assert HighsBackend().solve(model).status == "optimal"
-        assert len(calls) == 2
-        for options in calls:
-            assert options["mip_rel_gap"] == 0.0
-            assert options["presolve"] is False
-            assert options["mip_heuristic_run_feasibility_jump"] is False
+        for incumbents in (None, [np.array([0, 1], dtype=np.int8)]):
+            for model in self._masters(two_parallel, unit_weight):
+                if incumbents is not None:
+                    model.meta["incumbents"] = incumbents
+                calls.clear()
+                res = HighsBackend().solve(model)
+                assert res.status == "optimal"
+                assert len(calls) == 1
+                options = calls[0]
+                assert options["mip_rel_gap"] == 0.0
+                assert options["presolve"] is False
+                assert options["mip_heuristic_run_feasibility_jump"] is False
+                if incumbents is None:
+                    assert "objective_bound" not in options
+                else:
+                    assert options["objective_bound"] >= res.objective
+
+    @pytest.mark.parametrize("claim", ["at_bound", "infeasible"])
+    def test_bounded_solve_without_proof_is_repeated(self, monkeypatch, claim,
+                                                     two_parallel,
+                                                     unit_weight):
+        # HiGHS can report "optimal" for an x at or above the objective
+        # bound; neither that nor "infeasible" proves anything
+        calls = []
+        milp = master.milp
+
+        def quirk(*args, **kwargs):
+            options = kwargs["options"]
+            calls.append(options)
+            if "objective_bound" not in options:
+                return milp(*args, **kwargs)
+            if claim == "infeasible":
+                return OptimizeResult(status=2, success=False, x=None,
+                                      fun=None, message="infeasible")
+            return OptimizeResult(status=0, success=True,
+                                  x=np.zeros(len(kwargs["c"])),
+                                  fun=options["objective_bound"],
+                                  message="optimal")
+
+        masters = self._masters(two_parallel, unit_weight)
+        expects = [HighsBackend().solve(model) for model in masters]
+        monkeypatch.setattr(master, "milp", quirk)
+        for model, expect in zip(masters, expects):
+            model.meta["incumbents"] = [np.array([1, 0], dtype=np.int8)]
+            calls.clear()
+            res = HighsBackend().solve(model)
+            assert len(calls) == 2
+            assert "objective_bound" in calls[0]
+            assert "objective_bound" not in calls[1]
+            assert res.status == "optimal"
+            assert res.objective == expect.objective
+            assert np.array_equal(res.assignment, expect.assignment)
+
+    @pytest.mark.parametrize("name", sorted(ODD_SP_GRAPHS) + ["random"])
+    def test_bounded_solve_matches_enumeration(self, name):
+        # incumbents that include the optimum make the bound tight.  The
+        # bound must not move HiGHS's answer; HiGHS itself, bound or not,
+        # can claim some dual masters 1e-6 below the enumerated optimum
+        # (its primal feasibility tolerance on the potentials)
+        if name == "random":
+            rng = SplitMix64(1213)
+            instances = [random_instance(rng) for _ in range(8)]
+        else:
+            instances = [ODD_SP_GRAPHS[name]]
+        w = WeightFunction([(0.0, 1.0), (0.5, 3.0), (1.0, 0.5)])
+        for inst in instances:
+            sols = enumerate_solutions(inst)
+            models = [build_formulation_general(inst, lams, sols[:2], w)
+                      for lams in ([0.5], [0.2, 0.7])]
+            if isinstance(inst, GraphInstance) and inst.kind == SHORTEST_PATH:
+                models += [build_formulation_dual_sp(inst, lams, w)
+                           for lams in ([0.5], [0.2, 0.7])]
+            for model in models:
+                expect = EnumerationBackend().solve(model)
+                unbounded = HighsBackend().solve(model)
+                for incumbents in (sols[-1:], sols):
+                    model.meta["incumbents"] = incumbents
+                    res = HighsBackend().solve(model)
+                    master.verify_master_objective(model, res)
+                    assert res.objective == pytest.approx(unbounded.objective,
+                                                          rel=1e-9)
+                    assert res.objective == pytest.approx(expect.objective,
+                                                          rel=1e-9, abs=2e-6)
 
     def test_solve_leaks_no_warning(self, two_parallel, unit_weight):
         with warnings.catch_warnings():
