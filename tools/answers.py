@@ -9,7 +9,8 @@ draws from ``tests/oracles.py``.  Each line is
 
     <label> <sha1 of x> <repr(value)> <iterations> <hex of the final LB>
 
-for ``algorithm1`` with ``HighsBackend`` (iterations and LB are ``-`` for
+for ``algorithm1`` with ``HighsBackend``, or with ``EnumerationBackend``
+where the label starts with ``enum`` (iterations and LB are ``-`` for
 ``solve_minmax_regret_fixed``, which returns neither).  A run that raises
 records the exception instead.  The pools:
 
@@ -19,11 +20,14 @@ records the exception instead.  The pools:
 - two-path L50 and L150 (d 0.05, 0.10, 0.15; seeds 0-1);
 - 70 ``random_instance`` draws (SplitMix64 seed 3737, odd draws with a
   ``random_weight``) under the ``auto`` and ``general`` formulations, and
-  ``solve_minmax_regret_fixed`` at size 0.37 on the same draws.
+  ``solve_minmax_regret_fixed`` at size 0.37 on the same draws;
+- with ``EnumerationBackend``: the 12 ``layered-enum`` pool instances, the
+  criterion-11 enumeration cell (N 5, k 5, seeds 0-19) and the 70 random
+  draws under ``auto`` and ``general``.
 
 A change that moves a tied optimum, an iteration count or the last bits of
 a lower bound shows here; ``--check`` lists each changed line and counts
-the changed fields.  It takes about four minutes on a 2-core machine, most
+the changed fields.  It takes about two minutes on a 2-core machine, most
 of it in the criterion-11 cells; it is not part of the test suite.
 """
 
@@ -42,8 +46,8 @@ for sub in ("src", "vsrbench", "tests"):
 
 import numpy as np  # noqa: E402
 
-from vsrobust import (HighsBackend, WeightFunction, algorithm1,  # noqa: E402
-                      solve_minmax_regret_fixed)
+from vsrobust import (EnumerationBackend, HighsBackend,  # noqa: E402
+                      WeightFunction, algorithm1, solve_minmax_regret_fixed)
 from vsrobust.instances import SplitMix64, gen_layered, gen_twopath  # noqa: E402
 
 FIELDS = ("x", "value", "iterations", "lb")
@@ -54,8 +58,8 @@ def _sha1(x) -> str:
     return hashlib.sha1(np.asarray(x, dtype=np.int8).tobytes()).hexdigest()
 
 
-def _solve(instance, w, formulation="auto"):
-    x, value, state = algorithm1(instance, w, backend=HighsBackend(),
+def _solve(instance, w, formulation="auto", backend=HighsBackend):
+    x, value, state = algorithm1(instance, w, backend=backend(),
                                  formulation=formulation)
     return (_sha1(x), repr(float(value)), str(len(state.iterations)),
             float(state.iterations[-1].lb).hex())
@@ -81,6 +85,14 @@ def runs():
         for op in workloads.build(name, 1).ops[:count]:
             yield (f"{name} {op.label}",
                    lambda inst=op.instance: _solve(inst, UNIT))
+    for op in workloads.build("layered-enum", 1).ops:
+        yield (f"enum layered-enum {op.label}",
+               lambda inst=op.instance: _solve(inst, UNIT,
+                                               backend=EnumerationBackend))
+    for seed in range(20):
+        yield (f"enum criterion-11 N5 k5 A seed {seed}",
+               lambda seed=seed: _solve(gen_layered(5, 5, "A", seed), UNIT,
+                                        backend=EnumerationBackend))
     for L in (50, 150):
         for d in (0.05, 0.10, 0.15):
             for seed in (0, 1):
@@ -97,6 +109,9 @@ def runs():
                    lambda inst=inst, w=w, f=formulation: _solve(inst, w, f))
             yield (f"random {i} {formulation} fixed 0.37",
                    lambda inst=inst, f=formulation: _fixed(inst, f))
+            yield (f"enum random {i} {formulation}",
+                   lambda inst=inst, w=w, f=formulation:
+                   _solve(inst, w, f, EnumerationBackend))
 
 
 def line(label, thunk) -> str:
