@@ -43,8 +43,8 @@ DUAL_SP = "dual_sp"
 
 DEFAULT_EPSILON = 1e-6
 
-# float elements per (max(n, V) x block) matrix in the batched enumeration;
-# bounds its working set at any enumeration limit
+# float elements per (max(n, V + 1, grid slots) x block) matrix in the
+# batched enumeration; bounds its working set at any enumeration limit
 _BLOCK_ELEMENTS = 1 << 20
 
 
@@ -421,7 +421,12 @@ class EnumerationBackend(SolverBackend):
     evaluated over all enumerated solutions, block by block; ties go to the
     first solution in enumeration order.  Only models built by
     ``build_formulation_general`` or ``build_formulation_dual_sp`` carry
-    the instance this needs."""
+    the instance this needs.
+
+    The feasible set is enumerated once per instance and kept on it for the
+    instance's lifetime: bit-packed rows (solutions x ceil(n/8) bytes) and
+    the nominal cost of each row, which follows a replaced ``nominal``.
+    Instances must not be mutated otherwise."""
 
     name = "enum"
 
@@ -435,34 +440,63 @@ class EnumerationBackend(SolverBackend):
                              "build_formulation_dual_sp")
         instance = model.meta["instance"]
         num_x = model.meta["num_x"]
-        sols = enumerate_solutions(instance, limit=self.limit)
-        if not sols:
+        packed, pc = _solution_table(instance, self.limit)
+        if not len(packed):
             return BackendResult("infeasible", None, None)
-        rows = max(1, _BLOCK_ELEMENTS
-                   // max(num_x, getattr(instance, "num_nodes", 0)))
-        objs = np.empty(len(sols))
-        for lo in range(0, len(sols), rows):
-            X = np.array(sols[lo:lo + rows], dtype=np.float64)
-            objs[lo:lo + rows] = _master_objectives(model, X)
+        width = max(num_x, getattr(instance, "num_nodes", 0) + 1)
+        if model.meta["style"] == DUAL_SP:  # slots of the padded level grid
+            width = max(width, _level_grid(instance)[0].size)
+        rows = max(1, _BLOCK_ELEMENTS // width)
+        objs = np.empty(len(packed))
+        for lo in range(0, len(packed), rows):
+            objs[lo:lo + rows] = _master_objectives(
+                model, _unpack(packed[lo:lo + rows], num_x), pc[lo:lo + rows])
         best = int(np.argmin(objs))  # first minimum, as enumerated
         values = np.zeros(model.num_vars)
-        values[:num_x] = sols[best]
-        values[num_x:] = _continuous_part(model, sols[best])
+        values[:num_x] = _unpack(packed[best:best + 1], num_x)[0]
+        values[num_x:] = _continuous_part(model, values[:num_x])
         return BackendResult("optimal", values, float(objs[best]))
 
 
-def _master_objectives(model: MilpModel, X: np.ndarray) -> np.ndarray:
+def _solution_table(instance: Instance, limit: int):
+    """(packed rows, float(nominal @ x) of each row) of the feasible set,
+    from the instance's cache; see :class:`EnumerationBackend`."""
+    n = instance.ground_size
+    if instance._enumerated is None:
+        sols = enumerate_solutions(instance, limit=limit)
+        bits = np.array(sols, dtype=bool).reshape(len(sols), n)
+        instance._enumerated = (np.packbits(bits, axis=1), None, None)
+    packed, source, pc = instance._enumerated
+    if len(packed) > limit:
+        raise CapacityError(
+            f"feasible set exceeds limit {limit}; shrink the instance")
+    nominal = instance.nominal
+    if source is None or not np.array_equal(source, nominal):
+        step = max(1, _BLOCK_ELEMENTS // max(1, n))
+        pc = np.array([float(nominal @ x) for lo in range(0, len(packed), step)
+                       for x in _unpack(packed[lo:lo + step], n)])
+        instance._enumerated = (packed, nominal.copy(), pc)
+    return packed, pc
+
+
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    return np.unpackbits(packed, axis=1, count=n).astype(np.float64)
+
+
+def _master_objectives(model: MilpModel, X: np.ndarray,
+                       pc: Optional[np.ndarray] = None) -> np.ndarray:
     """Master objective at each row of the 0/1 matrix X, with the
     continuous part at its optimum in closed form: per segment, the largest
     cut (general style) or (1 + lam) c x minus the shortest s-t distance
-    under the worst-case costs of x (dual style)."""
+    under the worst-case costs of x (dual style).  ``pc``, if given, holds
+    ``float(nominal @ x)`` of each row for the dual style."""
     instance = model.meta["instance"]
     segments = model.meta["segments"]
     nominal = instance.nominal
     if model.meta["style"] == GENERAL:
         terms = _cut_maxima(model, X).T
     else:
-        pc = np.array([float(nominal @ x) for x in X])
+        pc = np.array([float(nominal @ x) for x in X]) if pc is None else pc
         dist = _batched_distances(instance, X, [seg.point for seg in segments])
         terms = [(1.0 + seg.point) * pc - d for seg, d in zip(segments, dist)]
     objs = np.zeros(X.shape[0])
@@ -514,10 +548,13 @@ def _batched_distances(graph: GraphInstance, X: np.ndarray,
 
     One row goes to ``shortest_distances`` (Dijkstra).  More rows are
     relaxed together, Gauss-Seidel in BFS-level order: the arcs into nodes
-    other than s that s reaches are sorted by (level of head, head, index),
-    and each level takes one gather and one minimum per head, seeing the
-    levels below as already updated in the same sweep.  Sweeps repeat until
-    one changes nothing, which covers cycles, arcs within or back across
+    other than s that s reaches, sorted by (level of head, head, index),
+    fill one row-major (heads x largest in-degree) grid per level, a head's
+    row ending in empty slots that hold a null arc of cost 0 from an extra
+    node V at distance inf.  Each level takes one gather of
+    ``dist[tail] + cost`` and one minimum along each row, seeing the levels
+    below as already updated in the same sweep.  Sweeps repeat until one
+    changes nothing, which covers cycles, arcs within or back across
     levels, parallel arcs and s != 0.  On a graded graph, where every arc
     out of a reached node ends one level higher (any complete layered
     graph), each level's tails are final before it is relaxed, so one sweep
@@ -527,30 +564,21 @@ def _batched_distances(graph: GraphInstance, X: np.ndarray,
     ``dist[tail] + cost`` over its in-arcs at final tail distances: the
     least left-to-right float sum over the paths from s, which Dijkstra
     also returns.  The costs are built in sweep order by the same float
-    operations as for one row, so each column equals the one-row result
-    bit for bit.
+    operations as for one row, and a minimum is exact, so each column
+    equals the one-row result bit for bit.
     """
     nominal = graph.nominal
     if X.shape[0] == 1:
         return np.array([[shortest_distances(
             graph, nominal * (1.0 - lam + 2.0 * lam * X[0]), graph.s)[graph.t]]
             for lam in lams])
-    tails, heads = graph.tails, graph.heads
-    hops = _hops(graph.num_nodes, graph.s, tails, heads)
-    from_reached = np.isfinite(hops[tails])
-    graded = bool(np.all(hops[heads[from_reached]]
-                         == hops[tails[from_reached]] + 1.0))
-    arcs = np.flatnonzero(np.isfinite(hops[heads]) & (heads != graph.s))
-    arcs = arcs[np.lexsort((arcs, heads[arcs], hops[heads[arcs]]))]
-    tails, heads, level = tails[arcs], heads[arcs], hops[heads[arcs]]
-    bounds = np.append(np.flatnonzero(np.diff(level, prepend=-1.0)), arcs.size)
-    levels = []  # (arc span, distinct heads, first arc of each head)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        starts = np.flatnonzero(np.diff(heads[lo:hi], prepend=-1))
-        levels.append((slice(lo, hi), heads[lo + starts], starts))
-    chosen = (X != 0).T[arcs]
-    nominal = nominal[arcs, None]
-    dist = np.empty((graph.num_nodes, X.shape[0]))
+    V = graph.num_nodes
+    slot_arcs, levels, graded = _level_grid(graph)  # arc -1: the null arc
+    tails = np.append(graph.tails, V)[slot_arcs]
+    chosen = np.append(X != 0, np.zeros((X.shape[0], 1), dtype=bool),
+                       axis=1).T[slot_arcs]
+    nominal = np.append(nominal, 0.0)[slot_arcs, None]
+    dist = np.empty((V + 1, X.shape[0]))
     out = np.empty((len(lams), X.shape[0]))
     for i, lam in enumerate(lams):
         costs = np.where(chosen, nominal * (1.0 - lam + 2.0 * lam * 1.0),
@@ -560,15 +588,40 @@ def _batched_distances(graph: GraphInstance, X: np.ndarray,
         changed = True
         while changed:
             changed = False
-            for span, level_heads, starts in levels:
-                relaxed = np.minimum.reduceat(
-                    dist[tails[span]] + costs[span], starts, axis=0)
+            for span, level_heads in levels:
+                relaxed = (dist[tails[span]] + costs[span]).reshape(
+                    level_heads.size, -1, X.shape[0]).min(axis=1)
                 current = dist[level_heads]
                 changed = changed or bool(np.any(relaxed < current))
                 dist[level_heads] = np.minimum(current, relaxed)
             changed = changed and not graded
         out[i] = dist[graph.t]
     return out
+
+
+def _level_grid(graph: GraphInstance):
+    """(arc of each slot, empty ones -1; (slot span, heads) of each level;
+    graded) for :func:`_batched_distances`."""
+    tails, heads = graph.tails, graph.heads
+    hops = _hops(graph.num_nodes, graph.s, tails, heads)
+    from_reached = np.isfinite(hops[tails])
+    graded = bool(np.all(hops[heads[from_reached]]
+                         == hops[tails[from_reached]] + 1.0))
+    arcs = np.flatnonzero(np.isfinite(hops[heads]) & (heads != graph.s))
+    arcs = arcs[np.lexsort((arcs, heads[arcs], hops[heads[arcs]]))]
+    first = np.flatnonzero(np.diff(heads[arcs], prepend=-1))  # of each head
+    ends = np.append(first, arcs.size)
+    level = hops[heads[arcs[first]]]
+    bounds = np.append(np.flatnonzero(np.diff(level, prepend=-1.0)), first.size)
+    grids, levels, size = [np.empty(0, dtype=np.int64)], [], 0
+    for a, b in zip(bounds[:-1], bounds[1:]):  # the heads of one level
+        degree = np.diff(ends[a:b + 1])
+        grid = np.full((b - a, degree.max()), -1, dtype=np.int64)
+        grid[np.arange(grid.shape[1]) < degree[:, None]] = arcs[ends[a]:ends[b]]
+        levels.append((slice(size, size + grid.size), heads[arcs[first[a:b]]]))
+        grids.append(grid.ravel())
+        size += grid.size
+    return np.concatenate(grids), levels, graded
 
 
 def _solve_with_cycle_rows(model: MilpModel, solve_once) -> BackendResult:

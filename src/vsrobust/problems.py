@@ -28,6 +28,8 @@ class SelectionInstance:
     n: int
     p: int
     nominal: np.ndarray
+    _enumerated: Optional[tuple] = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         self.nominal = as_costs(self.nominal)
@@ -57,6 +59,8 @@ class GraphInstance:
     _csr: Optional[tuple] = field(default=None, repr=False, compare=False)
     _grouped: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    _enumerated: Optional[tuple] = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         self.tails = np.asarray(self.tails, dtype=np.int64)
@@ -315,7 +319,9 @@ def enumerate_solutions(instance: Instance, limit: int = 10**6) -> list[np.ndarr
     """Complete, deterministically ordered list of feasible solutions.
 
     This is the exact oracle used by the tests and the enumeration backend;
-    raises CapacityError as soon as the feasible set exceeds ``limit``.
+    raises CapacityError as soon as the feasible set exceeds ``limit``.  The
+    enumeration backend keeps its result on the instance as bit-packed rows
+    (solutions x ceil(n/8) bytes), so instances must not be mutated.
     """
     out: list[np.ndarray] = []
     for x in _iter_solutions(instance):

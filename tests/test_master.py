@@ -78,6 +78,12 @@ ODD_SP_GRAPHS = {
     # does not reach the distances either
     "skip": _sp_graph(4, [(2, 3, 1), (1, 2, 1), (0, 2, 10), (0, 1, 1)],
                       s=0, t=3),
+    # BFS level 1 has heads of in-degree 1, 2 and 4 (parallel twins into 2,
+    # arcs within the level, an arc from node 5, which s cannot reach), so
+    # its relaxation grid has empty slots
+    "hub": _sp_graph(6, [(1, 4, 2), (3, 4, 1), (2, 4, 3), (5, 3, 1),
+                         (1, 3, 1), (2, 3, 2), (0, 3, 6), (0, 2, 2),
+                         (0, 2, 2), (0, 1, 3)], s=0, t=4),
 }
 
 
@@ -346,6 +352,65 @@ class TestAlgorithm1:
                                    backend=EnumerationBackend())
             for y in enumerate_solutions(inst):
                 assert val <= compute_val(inst, y, unit_weight).val + 1e-9
+
+
+class TestEnumerationCache:
+    @staticmethod
+    def _count_enumerations(monkeypatch):
+        calls = []
+        enumerate_all = master.enumerate_solutions
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_all(*args, **kwargs)
+
+        monkeypatch.setattr(master, "enumerate_solutions", counted)
+        return calls
+
+    def test_warm_solve_equals_cold(self, monkeypatch):
+        calls = self._count_enumerations(monkeypatch)
+        w = WeightFunction([(0.0, 1.0), (0.5, 3.0), (1.0, 0.5)])
+        warm = gen_layered(3, 3, "B", 4)
+        pool = enumerate_solutions(warm)[:3]
+        builds = [lambda g, lams=lams: build_formulation_dual_sp(g, lams, w)
+                  for lams in ([0.5], [0.2, 0.7])]
+        builds.append(lambda g: build_formulation_general(g, [0.3], pool, w))
+        for build in builds:
+            cold = EnumerationBackend().solve(build(gen_layered(3, 3, "B", 4)))
+            hot = EnumerationBackend().solve(build(warm))
+            assert hot.objective == cold.objective
+            assert np.array_equal(hot.assignment, cold.assignment)
+        assert len(calls) == len(builds) + 1
+
+    def test_limit_holds_with_and_without_cache(self, monkeypatch,
+                                                unit_weight):
+        calls = self._count_enumerations(monkeypatch)
+        inst = SelectionInstance(n=12, p=6, nominal=np.arange(1.0, 13.0))
+        model = build_formulation_general(
+            inst, [0.5], [solve_nominal(inst, inst.nominal)[0]], unit_weight)
+        with pytest.raises(CapacityError):
+            EnumerationBackend(limit=10).solve(model)
+        assert EnumerationBackend().solve(model).status == "optimal"
+        assert len(calls) == 2  # the failed enumeration left no table
+        with pytest.raises(CapacityError):
+            EnumerationBackend(limit=10).solve(model)
+        assert len(calls) == 2
+
+    def test_replaced_costs_are_followed(self, unit_weight):
+        g = gen_layered(3, 3, "A", 7)
+        EnumerationBackend().solve(
+            build_formulation_dual_sp(g, [0.5], unit_weight))
+        g.nominal = g.nominal[::-1].copy()
+        fresh = gen_layered(3, 3, "A", 7)
+        fresh.nominal = g.nominal.copy()
+        model = build_formulation_dual_sp(g, [0.3, 0.6], unit_weight)
+        res = EnumerationBackend().solve(model)
+        expect = EnumerationBackend().solve(
+            build_formulation_dual_sp(fresh, [0.3, 0.6], unit_weight))
+        assert res.objective == expect.objective
+        assert np.array_equal(res.assignment, expect.assignment)
+        assert res.objective == definitional_objective(
+            model, res.assignment[:g.num_arcs])
 
 
 class TestFixedRegret:
